@@ -50,9 +50,9 @@ struct Provider {
                .encode(rng.next_bytes(12000), file_id, master);
     const por::EncodedFile* f = &file;
     server = std::make_unique<net::TcpServer>([f](BytesView request) {
-      const SegmentRequest req = SegmentRequest::deserialize(request);
+      const Bytes& segment = lookup_segment(*f, request);
       std::this_thread::sleep_for(kServiceDelay);
-      return f->segments[static_cast<std::size_t>(req.index)];
+      return segment;
     });
   }
 };

@@ -59,7 +59,7 @@ void print_protocol_sweeps() {
     const AuditReport report = world.run_audit(record, 20);
     std::printf("%-16s %12.3f %12.3f %14.2f %10s\n", disk.name.c_str(),
                 report.mean_rtt.count(), report.max_rtt.count(),
-                world.auditor().policy().max_round_trip().count(),
+                world.scheme().policy().max_round_trip().count(),
                 report.accepted ? "accepted" : "REJECTED");
   }
 
@@ -91,7 +91,7 @@ void print_protocol_sweeps() {
 // so the benchmark can iterate indefinitely.
 struct BenchWorld {
   std::unique_ptr<SimulatedDeployment> world;
-  Auditor::FileRecord record;
+  FileRecord record;
 
   BenchWorld() { rebuild(); }
   void rebuild() {
@@ -123,10 +123,10 @@ void BM_TranscriptVerify(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     if (bw.world->verifier().audits_remaining() == 0) bw.rebuild();
-    const AuditRequest request = bw.world->auditor().make_request(bw.record, 20);
+    const AuditRequest request = bw.world->scheme().make_request(bw.record, 20);
     const SignedTranscript transcript = bw.world->verifier().run_audit(request);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(bw.world->auditor().verify(bw.record, transcript));
+    benchmark::DoNotOptimize(bw.world->scheme().verify(bw.record, transcript));
   }
 }
 BENCHMARK(BM_TranscriptVerify);

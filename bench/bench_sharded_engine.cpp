@@ -49,10 +49,8 @@ struct ShardedFleet {
   std::unique_ptr<AuditService> service;
   std::unique_ptr<ShardedAuditEngine> engine;
   std::size_t shards = 1;
-  bool parked_workers = true;
 
-  explicit ShardedFleet(std::size_t n_shards, bool parked = true)
-      : shards(n_shards), parked_workers(parked) {
+  explicit ShardedFleet(std::size_t n_shards) : shards(n_shards) {
     rebuild();
   }
 
@@ -94,7 +92,6 @@ struct ShardedFleet {
     }
     ShardedAuditEngine::Options opts;
     opts.shards = shards;
-    opts.parked_workers = parked_workers;
     engine = std::make_unique<ShardedAuditEngine>(*service, opts);
   }
 
@@ -111,8 +108,7 @@ struct ShardedFleet {
 };
 
 /// One sweep of the whole registry (16 heterogeneous provider worlds)
-/// fanned across the configured shard count, on the parked worker pool
-/// (default since the pool landed).
+/// fanned across the configured shard count, on the parked worker pool.
 void BM_ShardedSweep(benchmark::State& state) {
   ShardedFleet fleet(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -125,24 +121,6 @@ void BM_ShardedSweep(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
 BENCHMARK(BM_ShardedSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// The historical respawn-per-sweep mode on the identical fleet — diff a
-/// row against BM_ShardedSweep at the same shard count for the parked-pool
-/// win (shards-1 jthread spawns + joins saved per sweep).
-void BM_ShardedSweepRespawn(benchmark::State& state) {
-  ShardedFleet fleet(static_cast<std::size_t>(state.range(0)),
-                     /*parked=*/false);
-  for (auto _ : state) {
-    fleet.ensure_keys(state);
-    benchmark::DoNotOptimize(fleet.engine->sweep_once());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kRegistrations);
-  state.counters["shards"] =
-      benchmark::Counter(static_cast<double>(state.range(0)));
-}
-BENCHMARK(BM_ShardedSweepRespawn)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

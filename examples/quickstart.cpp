@@ -34,7 +34,7 @@ int main() {
               config.provider.location.lon_deg,
               config.provider.disk.name.c_str());
   std::printf("policy:   max round trip %.2f ms (calibrated to the disk)\n\n",
-              world.auditor().policy().max_round_trip().count());
+              world.scheme().policy().max_round_trip().count());
 
   // --- owner: encode + upload ----------------------------------------
   Rng rng(2024);

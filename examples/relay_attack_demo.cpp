@@ -57,7 +57,7 @@ int main() {
     std::printf("\nbaseline (honest local service): %s\n",
                 honest.summary().c_str());
     std::printf("audit budget: %.2f ms per round\n",
-                world.auditor().policy().max_round_trip().count());
+                world.scheme().policy().max_round_trip().count());
   }
 
   const storage::DiskModel best(storage::ibm36z15());

@@ -12,7 +12,8 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "core/auditor.hpp"
+#include "core/scheme.hpp"
+#include "core/transcript.hpp"
 #include "core/verifier.hpp"
 #include "net/tcp.hpp"
 #include "por/encoder.hpp"
@@ -38,12 +39,12 @@ int main() {
   // Provider: TCP server with injectable look-up delay.
   std::atomic<int> lookup_delay_ms{0};
   net::TcpServer server([&](BytesView request) {
-    const SegmentRequest req = SegmentRequest::deserialize(request);
+    const Bytes& segment = lookup_segment(file, request);
     const int delay = lookup_delay_ms.load();
     if (delay > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
-    return file.segments[static_cast<std::size_t>(req.index)];
+    return segment;
   });
   std::printf("provider listening on 127.0.0.1:%u\n", server.port());
 
@@ -54,22 +55,21 @@ int main() {
   vcfg.position = {-27.4698, 153.0251};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor::Config acfg;
-  acfg.por = params;
+  AuditorConfig acfg;
   acfg.master_key = master;
   acfg.verifier_pk = verifier.public_key();
   acfg.expected_position = vcfg.position;
   // Budget: generous loopback allowance + 15 ms look-up + slack.
   acfg.policy = LatencyPolicy{Millis{10.0}, Millis{15.0}, Millis{5.0}};
-  Auditor auditor(acfg);
-  const Auditor::FileRecord record{file.file_id, file.n_segments};
+  MacAuditScheme scheme(acfg, params);
+  const FileRecord record{file.file_id, file.n_segments};
   std::printf("budget: %.1f ms per round (wall clock)\n\n",
               acfg.policy.max_round_trip().count());
 
   const auto audit = [&](const char* label) {
-    const AuditRequest request = auditor.make_request(record, 10);
+    const AuditRequest request = scheme.make_request(record, 10);
     const SignedTranscript transcript = verifier.run_audit(request);
-    const AuditReport report = auditor.verify(record, transcript);
+    const AuditReport report = scheme.verify(record, transcript);
     std::printf("%-34s %s\n", label, report.summary().c_str());
   };
 
@@ -80,7 +80,7 @@ int main() {
   audit("relayed to remote DC (+60 ms):");
 
   std::printf("\nthe protocol engine is transport-agnostic: the identical "
-              "verifier/auditor code produced these verdicts over a real "
+              "verifier/scheme code produced these verdicts over a real "
               "socket with std::chrono timing.\n");
   return 0;
 }

@@ -63,11 +63,6 @@ AuditService& AuditService::operator=(AuditService&& other) noexcept {
   return *this;
 }
 
-AuditService::AuditService(AuditScheme& scheme, VerifierDevice& verifier,
-                           FileRecord file, std::uint32_t challenge_size) {
-  add(scheme, verifier, file, challenge_size);
-}
-
 AuditService::~AuditService() {
   if (metrics_ != nullptr) metrics_->remove_snapshot(metrics_snapshot_id_);
 }
@@ -183,15 +178,6 @@ const AuditService::Slot& AuditService::find_slot(
   return slots_[it->second];
 }
 
-const AuditService::Slot& AuditService::sole(const char* what) const {
-  if (index_.size() != 1) {
-    throw InvalidArgument(std::string("AuditService::") + what +
-                          ": requires exactly one registration; pass a "
-                          "file id");
-  }
-  return slots_[index_.begin()->second];
-}
-
 const AuditService::Registration& AuditService::registration(
     std::uint64_t file_id) const {
   return find_slot(file_id).reg;
@@ -274,10 +260,6 @@ void AuditService::record(std::uint64_t file_id, Nanos at,
   (void)append_entry(find_slot(file_id), std::move(entry));
 }
 
-const AuditReport& AuditService::run_once(const SimClock& clock) {
-  return run_once(clock, sole("run_once").reg.file_id);
-}
-
 std::uint64_t AuditService::run_all(const SimClock& clock) {
   std::uint64_t passed = 0;
   for (const std::uint64_t id : ordered_ids()) {
@@ -290,33 +272,53 @@ std::uint64_t AuditService::run_batch(const Now& now,
                                       const std::vector<std::uint64_t>& ids,
                                       const BatchReportHook& on_report) {
   std::uint64_t passed = 0;
-  std::size_t begin = 0;
-  while (begin < ids.size()) {
-    // Maximal consecutive run sharing one (scheme, verifier) pair: one
-    // device signature and one TPA signature check per group.
-    const Slot& lead = find_slot(ids[begin]);
-    std::size_t end = begin + 1;
-    while (end < ids.size()) {
-      const Slot& next = find_slot(ids[end]);
-      if (next.reg.scheme != lead.reg.scheme ||
-          next.reg.verifier != lead.reg.verifier) {
-        break;
-      }
-      ++end;
-    }
+  for (std::size_t begin = 0; begin < ids.size();) {
+    const std::size_t end = group_end(ids, begin);
     passed += run_group(now, ids, begin, end, on_report);
     begin = end;
   }
   return passed;
 }
 
+std::size_t AuditService::group_end(const std::vector<std::uint64_t>& ids,
+                                    std::size_t begin) const {
+  // Maximal consecutive run sharing one (scheme, verifier) pair: one
+  // device signature and one TPA signature check per group.
+  if (begin >= ids.size()) {
+    throw InvalidArgument("AuditService::group_end: begin out of range");
+  }
+  const Registration& lead = find_slot(ids[begin]).reg;
+  std::size_t end = begin + 1;
+  while (end < ids.size()) {
+    const Registration& next = find_slot(ids[end]).reg;
+    if (next.scheme != lead.scheme || next.verifier != lead.verifier) break;
+    ++end;
+  }
+  return end;
+}
+
 std::uint64_t AuditService::run_group(const Now& now,
                                       const std::vector<std::uint64_t>& ids,
                                       std::size_t begin, std::size_t end,
                                       const BatchReportHook& on_report) {
-  Slot& lead = find_slot(ids[begin]);
-  AuditScheme& scheme = *lead.reg.scheme;
-  VerifierDevice& verifier = *lead.reg.verifier;
+  if (begin >= end || end > ids.size()) {
+    throw InvalidArgument("AuditService::run_group: empty or out-of-range "
+                          "group");
+  }
+  const Registration& lead = find_slot(ids[begin]).reg;
+  AuditScheme& scheme = *lead.scheme;
+  VerifierDevice& verifier = *lead.verifier;
+  // One lookup per member; slot addresses are stable while audits run.
+  std::vector<Slot*> members;
+  members.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    Slot& slot = find_slot(ids[i]);
+    if (slot.reg.scheme != &scheme || slot.reg.verifier != &verifier) {
+      throw InvalidArgument("AuditService::run_group: group members must "
+                            "share one (scheme, verifier) pair");
+    }
+    members.push_back(&slot);
+  }
   std::uint64_t passed = 0;
   // Span phases ride the caller's clock (no clock reads of our own): the
   // group's timeline is challenge build -> bit-exchange rounds -> verify
@@ -328,11 +330,10 @@ std::uint64_t AuditService::run_group(const Now& now,
     std::vector<AuditRequest> requests;
     files.reserve(end - begin);
     requests.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      const Slot& slot = find_slot(ids[i]);
-      files.push_back(slot.reg.file);
+    for (const Slot* slot : members) {
+      files.push_back(slot->reg.file);
       requests.push_back(
-          scheme.make_request(slot.reg.file, slot.reg.challenge_size));
+          scheme.make_request(slot->reg.file, slot->reg.challenge_size));
     }
     const Nanos t1 = spans != nullptr ? now() : Nanos{0};
     const BatchedTranscripts batch = verifier.run_audit_batch(requests);
@@ -343,7 +344,7 @@ std::uint64_t AuditService::run_group(const Now& now,
       entry.report = std::move(reports[i - begin]);
       entry.at = now();
       const AuditReport& recorded =
-          append_entry(find_slot(ids[i]), std::move(entry));
+          append_entry(*members[i - begin], std::move(entry));
       if (recorded.accepted) ++passed;
       if (on_report) on_report(ids[i], recorded);
     }
@@ -371,7 +372,7 @@ std::uint64_t AuditService::run_group(const Now& now,
       entry.report.accepted = false;
       entry.report.failures.push_back(AuditFailure::kAborted);
       const AuditReport& recorded =
-          append_entry(find_slot(ids[i]), std::move(entry));
+          append_entry(*members[i - begin], std::move(entry));
       if (on_report) on_report(ids[i], recorded);
     }
     if (spans != nullptr) {
@@ -439,10 +440,6 @@ const std::vector<AuditService::Entry>& AuditService::history(
   return slot.reg.history;
 }
 
-const std::vector<AuditService::Entry>& AuditService::history() const {
-  return history(sole("history").reg.file_id);
-}
-
 AuditService::Compliance AuditService::compliance_of(
     const Counters& counters) {
   Compliance c;
@@ -474,11 +471,6 @@ std::uint64_t AuditService::consecutive_failures(
     std::uint64_t file_id) const {
   return find_slot(file_id).counters.tail_failures.load(
       std::memory_order_relaxed);
-}
-
-std::uint64_t AuditService::consecutive_failures() const {
-  return sole("consecutive_failures")
-      .counters.tail_failures.load(std::memory_order_relaxed);
 }
 
 std::string AuditService::summary() const {

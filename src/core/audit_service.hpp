@@ -29,9 +29,9 @@
 // Options::history_limit turns each registration's history into a bounded
 // ring while the counters stay exact.
 //
-// Concurrency contract: run_once / run_batch / record may be called
-// concurrently for *distinct* file ids provided (a) the registry is not
-// mutated (add/remove) while audits run, (b) schemes follow the
+// Concurrency contract: run_once / run_batch / run_group / record may be
+// called concurrently for *distinct* file ids provided (a) the registry is
+// not mutated (add/remove) while audits run, (b) schemes follow the
 // AuditScheme thread-safety contract (scheme.hpp), and (c) a
 // VerifierDevice shared by concurrently-audited registrations is
 // externally serialised. core::ShardedAuditEngine enforces all three.
@@ -109,11 +109,6 @@ class AuditService {
   AuditService(AuditService&& other) noexcept;
   AuditService& operator=(AuditService&& other) noexcept;
 
-  /// Convenience: a service born with a single registration (the common
-  /// one-file case, and the pre-registry constructor shape).
-  AuditService(AuditScheme& scheme, VerifierDevice& verifier, FileRecord file,
-               std::uint32_t challenge_size);
-
   /// Register a target; the registry is keyed by file id (one registration
   /// per file id — re-registering an id throws). Returns the file id.
   std::uint64_t add(AuditScheme& scheme, VerifierDevice& verifier,
@@ -151,14 +146,12 @@ class AuditService {
   using Completion = std::function<void(const AuditReport&)>;
   void begin_once(const Now& now, std::uint64_t file_id,
                   Completion done = {});
-  /// Single-registration convenience (throws unless exactly one target).
-  const AuditReport& run_once(const SimClock& clock);
   /// Audit every registration once; returns how many passed.
   std::uint64_t run_all(const SimClock& clock);
 
   /// Audit `ids` with batched signing and verification: the run is split
-  /// into maximal consecutive groups sharing one (scheme, verifier) pair,
-  /// and each group consumes ONE device signature
+  /// into maximal consecutive groups sharing one (scheme, verifier) pair
+  /// (group_end), and each group consumes ONE device signature
   /// (VerifierDevice::run_audit_batch) and ONE TPA signature check
   /// (AuditScheme::verify_batch) — the 10-100x lever on the per-audit
   /// hot path, since WOTS chain hashing dominates a single MAC audit.
@@ -171,6 +164,23 @@ class AuditService {
       std::function<void(std::uint64_t file_id, const AuditReport& report)>;
   std::uint64_t run_batch(const Now& now,
                           const std::vector<std::uint64_t>& ids,
+                          const BatchReportHook& on_report = {});
+
+  /// The batch-grouping rule: the end of the maximal run of `ids` starting
+  /// at `begin` whose registrations share `ids[begin]`'s (scheme,
+  /// verifier) pair. Callers that must act per group — the sharded engine
+  /// takes each group's device lock — walk groups with this and hand each
+  /// to run_group, exactly as run_batch does.
+  std::size_t group_end(const std::vector<std::uint64_t>& ids,
+                        std::size_t begin) const;
+  /// Audit one group `ids[begin..end)` (as delimited by group_end) through
+  /// the batched sign/verify path; returns how many passed. Faults abort
+  /// only this group, as in run_batch. Throws InvalidArgument, recording
+  /// nothing, for an empty or out-of-range group or one whose members do
+  /// not share ids[begin]'s (scheme, verifier) pair.
+  std::uint64_t run_group(const Now& now,
+                          const std::vector<std::uint64_t>& ids,
+                          std::size_t begin, std::size_t end,
                           const BatchReportHook& on_report = {});
 
   /// Append an externally-judged entry to `file_id`'s history — how the
@@ -194,13 +204,10 @@ class AuditService {
   /// usual paging trigger for an operator.
   std::uint64_t consecutive_failures(std::uint64_t file_id) const;
 
-  /// Single-registration conveniences (throw unless exactly one target) —
-  /// except compliance(), which aggregates across the whole registry as an
-  /// epoch-consistent atomic snapshot (safe to call while sweeps run;
-  /// passed <= total holds for every read).
-  const std::vector<Entry>& history() const;
+  /// Aggregate compliance across the whole registry as an epoch-consistent
+  /// atomic snapshot (safe to call while sweeps run; passed <= total holds
+  /// for every read).
   Compliance compliance() const;
-  std::uint64_t consecutive_failures() const;
 
   /// One line per registration: label, audits, pass rate, tail failures.
   std::string summary() const;
@@ -251,16 +258,9 @@ class AuditService {
   Slot& find_slot(std::uint64_t file_id);
   const Slot& find_slot(std::uint64_t file_id) const;
   const std::vector<std::uint64_t>& ordered_ids() const;
-  const Slot& sole(const char* what) const;
   /// Record `entry` into the slot: ring append + counters + aggregate
   /// snapshot publication. Returns the recorded report.
   const AuditReport& append_entry(Slot& slot, Entry entry);
-  /// Run one maximal (scheme, verifier) group of `ids[begin..end)` through
-  /// the batched sign/verify path; returns how many passed.
-  std::uint64_t run_group(const Now& now,
-                          const std::vector<std::uint64_t>& ids,
-                          std::size_t begin, std::size_t end,
-                          const BatchReportHook& on_report);
   static Compliance compliance_of(const Counters& counters);
 
   Options options_;

@@ -25,14 +25,13 @@ SimulatedDeployment::SimulatedDeployment(DeploymentConfig config)
   }
   verifier_ = std::make_unique<VerifierDevice>(vcfg, *lan_channel_, timer_);
 
-  Auditor::Config acfg;
-  acfg.por = config_.por;
+  AuditorConfig acfg;
   acfg.master_key = config_.master_key;
   acfg.verifier_pk = verifier_->public_key();
   acfg.expected_position = config_.provider.location;
   acfg.position_tolerance = config_.position_tolerance;
   acfg.policy = config_.policy;
-  auditor_ = std::make_unique<Auditor>(acfg);
+  scheme_ = std::make_unique<MacAuditScheme>(acfg, config_.por);
 }
 
 FileRecord SimulatedDeployment::upload(BytesView file,
@@ -47,9 +46,9 @@ FileRecord SimulatedDeployment::upload(BytesView file,
 
 AuditReport SimulatedDeployment::run_audit(const FileRecord& file,
                                            std::uint32_t k) {
-  const AuditRequest request = auditor_->make_request(file, k);
+  const AuditRequest request = scheme_->make_request(file, k);
   const SignedTranscript transcript = verifier_->run_audit(request);
-  return auditor_->verify(file, transcript);
+  return scheme_->verify(file, transcript);
 }
 
 CloudProvider& SimulatedDeployment::deploy_remote_relay(
@@ -103,7 +102,7 @@ LatencyPolicy SimulatedDeployment::calibrate_policy(
   policy.max_network_rtt = Millis{0};
   policy.max_lookup = Millis{max_rtt.count() * margin};
   policy.slack = Millis{0};
-  auditor_->set_policy(policy);
+  scheme_->set_policy(policy);
   return policy;
 }
 

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "core/auditor.hpp"
 #include "core/provider.hpp"
+#include "core/scheme.hpp"
 #include "core/verifier.hpp"
 #include "net/channel.hpp"
 #include "por/encoder.hpp"
@@ -49,10 +49,9 @@ class SimulatedDeployment {
   EventQueue& queue() { return queue_; }
   CloudProvider& provider() { return provider_; }
   VerifierDevice& verifier() { return *verifier_; }
-  Auditor& auditor() { return *auditor_; }
-  /// The TPA through the polymorphic audit API (what AuditService and the
-  /// sharded engine program against).
-  AuditScheme& scheme() { return *auditor_; }
+  /// The TPA: the paper's MAC flavour, registered with AuditService and
+  /// the sharded engine through its AuditScheme base.
+  MacAuditScheme& scheme() { return *scheme_; }
   const DeploymentConfig& config() const { return config_; }
 
   /// Owner-side setup: encode F, upload F~ to the provider, register the
@@ -66,7 +65,7 @@ class SimulatedDeployment {
   /// §V-C(b): empirical contract-time calibration. Runs `probe_rounds`
   /// un-judged probe fetches against the live installation, sets the
   /// budget to the observed max RTT scaled by `margin`, installs it on
-  /// the auditor and returns it. Call while the provider is known-honest
+  /// the scheme and returns it. Call while the provider is known-honest
   /// (at contract signing); afterwards every audit is judged against the
   /// measured reality of this specific data centre.
   LatencyPolicy calibrate_policy(const FileRecord& file,
@@ -100,7 +99,7 @@ class SimulatedDeployment {
   std::unique_ptr<net::SimRequestChannel> lan_channel_;
   net::SimAuditTimer timer_;
   std::unique_ptr<VerifierDevice> verifier_;
-  std::unique_ptr<Auditor> auditor_;
+  std::unique_ptr<MacAuditScheme> scheme_;
   std::map<std::uint64_t, por::EncodedFile> encoded_files_;
   std::vector<std::unique_ptr<CloudProvider>> remotes_;
 };

@@ -24,11 +24,4 @@ net::RequestHandler DynamicProviderService::handler() {
   };
 }
 
-DynamicAuditor::DynamicAuditor(Config config, crypto::Digest root,
-                               std::uint64_t file_id,
-                               std::uint64_t n_segments)
-    : DynamicAuditScheme(make_auditor_config(config), config.por) {
-  file_ = register_file(file_id, root, n_segments);
-}
-
 }  // namespace geoproof::core

@@ -8,14 +8,12 @@
 // (membership under the latest root — a provider serving pre-update state
 // fails), and nearby (timing). The verifier device is reused unchanged.
 //
-// The flavour itself is core::DynamicAuditScheme (scheme.hpp); this header
-// holds the provider-side wire service plus the historical single-file
-// `DynamicAuditor` adapter.
+// The TPA side is core::DynamicAuditScheme (scheme.hpp); this header holds
+// the provider-side wire service.
 #pragma once
 
 #include "common/clock.hpp"
 #include "core/scheme.hpp"
-#include "core/verifier.hpp"
 #include "net/channel.hpp"
 #include "storage/disk_model.hpp"
 
@@ -39,46 +37,6 @@ class DynamicProviderService {
   storage::DiskModel disk_;
   bool sample_latency_;
   Rng rng_;
-};
-
-/// Pre-unification TPA shape: a DynamicAuditScheme pinned to one file at
-/// construction, with single-file make_request/verify conveniences.
-class DynamicAuditor : public DynamicAuditScheme {
- public:
-  using FileRecord = core::FileRecord;
-
-  struct Config {
-    por::PorParams por{};
-    Bytes master_key;
-    crypto::Digest verifier_pk{};
-    net::GeoPoint expected_position{};
-    Kilometers position_tolerance{5.0};
-    LatencyPolicy policy{};
-    std::uint64_t nonce_seed = 0xd7a;
-  };
-
-  /// `root`: the Merkle root after upload (from DynamicPorProvider::root()).
-  DynamicAuditor(Config config, crypto::Digest root, std::uint64_t file_id,
-                 std::uint64_t n_segments);
-
-  const FileRecord& file() const { return file_; }
-
-  using DynamicAuditScheme::client;
-  using DynamicAuditScheme::root;
-  por::DynamicPorClient& client() { return client(file_.file_id); }
-  const crypto::Digest& root() const { return root(file_.file_id); }
-
-  using AuditScheme::make_request;
-  using AuditScheme::verify;
-  /// Random challenge of k segment indices against the pinned file.
-  AuditRequest make_request(std::uint32_t k) {
-    return make_request(file_, k);
-  }
-  /// Full verification against the pinned file.
-  AuditReport verify(const SignedTranscript& st) { return verify(file_, st); }
-
- private:
-  FileRecord file_;
 };
 
 }  // namespace geoproof::core

@@ -14,9 +14,9 @@
 
 #include <map>
 
-#include "core/auditor.hpp"
 #include "core/deployment.hpp"
 #include "core/gps.hpp"
+#include "core/scheme.hpp"
 #include "geoloc/schemes.hpp"
 
 namespace geoproof::core {

@@ -70,7 +70,7 @@ class ReplicatedStore {
   struct Site {
     SiteSpec spec;
     std::unique_ptr<SimulatedDeployment> world;
-    Auditor::FileRecord record{};
+    FileRecord record{};
     bool has_file = false;
   };
 

@@ -274,21 +274,6 @@ class AuditScheme {
   NonceLedger nonces_;
 };
 
-/// Build the shared config from any legacy per-flavour Config struct (the
-/// pre-unification Auditor/SentinelAuditor/DynamicAuditor::Config shapes
-/// expose identical member names for the shared fields).
-template <typename LegacyConfig>
-AuditorConfig make_auditor_config(const LegacyConfig& c) {
-  AuditorConfig shared;
-  shared.master_key = c.master_key;
-  shared.verifier_pk = c.verifier_pk;
-  shared.expected_position = c.expected_position;
-  shared.position_tolerance = c.position_tolerance;
-  shared.policy = c.policy;
-  shared.nonce_seed = c.nonce_seed;
-  return shared;
-}
-
 /// The paper's own flavour (§V): MAC tags bind segment content, index and
 /// file id; the device samples the challenge.
 class MacAuditScheme : public AuditScheme {

@@ -158,14 +158,14 @@ void ShardedAuditEngine::refresh_verifier_mutexes() {
   // not accumulate as dangling keys; mutexes for devices still registered
   // are carried over (they are never held between sweeps, but recreating
   // them for free is pointless).
-  std::map<const VerifierDevice*, std::unique_ptr<std::mutex>> fresh;
+  std::map<const VerifierDevice*, std::unique_ptr<Mutex>> fresh;
   for (const std::uint64_t id : service_->file_ids()) {
     const VerifierDevice* verifier = service_->registration(id).verifier;
     auto& slot = fresh[verifier];
     if (!slot) {
       const auto old = verifier_mu_.find(verifier);
       slot = old != verifier_mu_.end() ? std::move(old->second)
-                                       : std::make_unique<std::mutex>();
+                                       : std::make_unique<Mutex>();
     }
   }
   verifier_mu_.swap(fresh);
@@ -220,7 +220,7 @@ void ShardedAuditEngine::audit_one(
     std::size_t shard, std::uint64_t file_id,
     std::atomic<std::uint64_t>& sweep_passed) {
   const ShardClock& now = clocks_[shard];
-  std::mutex& device_mu =
+  Mutex& device_mu =
       *verifier_mu_.at(service_->registration(file_id).verifier);
   const Nanos t0 = audit_latency_ != nullptr ? now() : Nanos{0};
   try {
@@ -229,7 +229,7 @@ void ShardedAuditEngine::audit_one(
       // Serialise the whole audit per device: run_audit consumes one-time
       // signing keys, and the device's channel/stopwatch advance the
       // world's clock.
-      std::scoped_lock lock(device_mu);
+      MutexLock lock(device_mu);
       report = &service_->run_once(now, file_id);
     }
     if (audit_latency_ != nullptr) audit_latency_->record(now() - t0);
@@ -251,27 +251,16 @@ void ShardedAuditEngine::audit_run(std::size_t shard,
                                                  const AuditReport& report) {
     count_result(shard, file_id, report, sweep_passed);
   };
-  // Split the run into maximal same-(scheme, verifier) groups: run_batch
-  // consumes one signing key per group, and the device mutex need only be
+  // Walk the run group by group (the service owns the grouping rule):
+  // each group consumes one signing key, and the device mutex need only be
   // held for the group actually using that device. Scheme/device faults
-  // are isolated inside run_batch (kAborted records reach the hook).
-  std::size_t begin = 0;
-  while (begin < run.size()) {
-    const AuditService::Registration& lead =
-        service_->registration(run[begin]);
-    std::size_t end = begin + 1;
-    while (end < run.size()) {
-      const AuditService::Registration& next =
-          service_->registration(run[end]);
-      if (next.scheme != lead.scheme || next.verifier != lead.verifier) break;
-      ++end;
-    }
-    const std::vector<std::uint64_t> group(
-        run.begin() + static_cast<std::ptrdiff_t>(begin),
-        run.begin() + static_cast<std::ptrdiff_t>(end));
-    std::mutex& device_mu = *verifier_mu_.at(lead.verifier);
-    std::scoped_lock lock(device_mu);
-    (void)service_->run_batch(now, group, hook);
+  // are isolated inside run_group (kAborted records reach the hook).
+  for (std::size_t begin = 0; begin < run.size();) {
+    const std::size_t end = service_->group_end(run, begin);
+    Mutex& device_mu =
+        *verifier_mu_.at(service_->registration(run[begin]).verifier);
+    MutexLock lock(device_mu);
+    (void)service_->run_group(now, run, begin, end, hook);
     begin = end;
   }
 }
@@ -437,7 +426,7 @@ void ShardedAuditEngine::dispatch_to_shards(
   // (and directly comparable) to AuditService::run_all.
   if (options_.shards == 1) {
     guarded(0);
-  } else if (options_.parked_workers) {
+  } else {
     ensure_pool();
     {
       MutexLock lock(pool_mu_);
@@ -450,15 +439,7 @@ void ShardedAuditEngine::dispatch_to_shards(
     MutexLock lock(pool_mu_);
     while (pool_remaining_ != 0) pool_done_cv_.wait(lock.native_lock());
     pool_job_ = nullptr;
-  } else {
-    // Historical respawn-per-dispatch mode, kept for the bench comparison.
-    std::vector<std::jthread> workers;
-    workers.reserve(options_.shards - 1);
-    for (std::size_t s = 1; s < options_.shards; ++s) {
-      workers.emplace_back([&guarded, s] { guarded(s); });
-    }
-    guarded(0);
-  }  // jthreads join here
+  }
   for (const std::exception_ptr& error : worker_errors) {
     if (error) std::rethrow_exception(error);
   }

@@ -58,7 +58,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,9 +109,9 @@ class ShardedAuditEngine {
     /// Per-shard cap on concurrently open audit sessions (async mode).
     std::size_t max_in_flight = 16;
     /// Blocking-mode run granularity: each worker drains its home queue in
-    /// runs of up to batch_size registrations and audits maximal
-    /// same-(scheme, verifier) subsequences through
-    /// AuditService::run_batch — one device signature and one TPA
+    /// runs of up to batch_size registrations and audits each
+    /// AuditService::group_end group through AuditService::run_group —
+    /// one device signature and one TPA
     /// signature check per group instead of per audit. 1 (default)
     /// preserves the historical one-signature-per-audit behaviour bit for
     /// bit. Stolen work always runs singly (a thief holds a foreign
@@ -128,13 +127,6 @@ class ShardedAuditEngine {
     std::function<void(std::uint64_t file_id, const AuditReport& report,
                        std::size_t shard)>
         report_hook;
-    /// Reuse one set of parked worker jthreads across sweeps (spawned
-    /// lazily on the first multi-shard dispatch, parked on a condition
-    /// variable between dispatches). Off = the historical behaviour of
-    /// spawning shards-1 fresh jthreads per sweep, kept selectable so
-    /// bench_sharded_engine can measure the respawn-vs-parked delta.
-    /// Irrelevant at 1 shard: everything runs on the caller.
-    bool parked_workers = true;
     /// Observability registry (not owned; must outlive the engine). When
     /// set, the engine registers a stats snapshot plus a queued-work gauge
     /// (geoproof_engine_queue_depth), a per-audit latency histogram
@@ -189,10 +181,9 @@ class ShardedAuditEngine {
   /// Returns the number of audits that passed.
   ///
   /// Shard 0 always runs on the caller, so 1-shard sweeps are thread-free
-  /// and bit-identical to AuditService::run_all. With parked_workers
-  /// (default) the shards-1 worker jthreads are spawned once and reused
-  /// across sweeps; with it off, each sweep respawns them (the historical
-  /// behaviour, measurable in bench_sharded_engine's respawn rows).
+  /// and bit-identical to AuditService::run_all. The shards-1 worker
+  /// jthreads are spawned on the first multi-shard dispatch and parked
+  /// between dispatches, so every later sweep reuses them.
   std::uint64_t sweep_once();
 
   /// Run `job(shard)` exactly once per shard, fanned across the engine's
@@ -225,9 +216,9 @@ class ShardedAuditEngine {
  private:
   struct ShardQueue;
 
-  /// Fan `job` across all shards (shard 0 on the caller), collecting one
-  /// exception_ptr per shard and rethrowing the first after everyone has
-  /// returned. Chooses parked pool vs per-dispatch jthreads per options.
+  /// Fan `job` across all shards (shard 0 on the caller, the rest on the
+  /// parked pool), collecting one exception_ptr per shard and rethrowing
+  /// the first after everyone has returned.
   void dispatch_to_shards(const std::function<void(std::size_t)>& job);
   void ensure_pool();
   void pool_worker(std::size_t shard);
@@ -240,8 +231,8 @@ class ShardedAuditEngine {
   void audit_one(std::size_t shard, std::uint64_t file_id,
                  std::atomic<std::uint64_t>& sweep_passed);
   /// Audit a run of registrations popped together (batch_size > 1): the
-  /// run is split into maximal same-(scheme, verifier) groups, each
-  /// audited under its device's mutex through AuditService::run_batch.
+  /// run is split into AuditService::group_end groups, each audited under
+  /// its device's mutex through AuditService::run_group.
   void audit_run(std::size_t shard, const std::vector<std::uint64_t>& run,
                  std::atomic<std::uint64_t>& sweep_passed);
   /// Count into the engine aggregates and fan the report out to the
@@ -264,13 +255,13 @@ class ShardedAuditEngine {
   std::vector<std::vector<std::size_t>> steal_order_;
   /// One mutex per distinct VerifierDevice (its Merkle signer consumes
   /// one-time keys). Refreshed between sweeps, never during one.
-  std::map<const VerifierDevice*, std::unique_ptr<std::mutex>> verifier_mu_;
+  std::map<const VerifierDevice*, std::unique_ptr<Mutex>> verifier_mu_;
   std::chrono::steady_clock::time_point epoch_;
 
-  /// Parked worker pool (parked_workers mode, shards > 1): one jthread per
-  /// non-zero shard, spawned on first dispatch, parked on pool_cv_ between
-  /// dispatches. pool_job_ points at the current dispatch's job for the
-  /// duration of one epoch; pool_remaining_ counts workers still in it.
+  /// Parked worker pool (shards > 1): one jthread per non-zero shard,
+  /// spawned on first dispatch, parked on pool_cv_ between dispatches.
+  /// pool_job_ points at the current dispatch's job for the duration of
+  /// one epoch; pool_remaining_ counts workers still in it.
   /// All pool protocol state is guarded by pool_mu_ (machine-checked under
   /// -Wthread-safety); the condition variables wait on its native handle.
   std::vector<std::jthread> pool_;

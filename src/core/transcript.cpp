@@ -4,6 +4,7 @@
 
 #include "common/errors.hpp"
 #include "common/serialize.hpp"
+#include "por/encoder.hpp"
 
 namespace geoproof::core {
 
@@ -61,6 +62,19 @@ SegmentRequest SegmentRequest::deserialize(BytesView data) {
   req.index = r.u64();
   r.expect_done();
   return req;
+}
+
+const Bytes& lookup_segment(const por::EncodedFile& file, BytesView request) {
+  const SegmentRequest req = SegmentRequest::deserialize(request);
+  if (req.file_id != file.file_id) {
+    throw StorageError("segment request for unknown file " +
+                       std::to_string(req.file_id));
+  }
+  if (req.index >= file.n_segments) {
+    throw StorageError("segment index " + std::to_string(req.index) +
+                       " out of range");
+  }
+  return file.segments[static_cast<std::size_t>(req.index)];
 }
 
 Bytes AuditTranscript::serialize() const {

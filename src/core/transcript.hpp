@@ -19,6 +19,10 @@
 #include "crypto/signature.hpp"
 #include "net/geo.hpp"
 
+namespace geoproof::por {
+struct EncodedFile;
+}  // namespace geoproof::por
+
 namespace geoproof::core {
 
 /// TPA -> verifier: audit this file now. When `positions` is empty the
@@ -45,6 +49,13 @@ struct SegmentRequest {
   Bytes serialize() const;
   static SegmentRequest deserialize(BytesView data);
 };
+
+/// The checked lookup behind every socket-facing segment server: parse a
+/// serialised SegmentRequest and return that segment of `file`. Request
+/// bytes come off the wire, so nothing indexes memory unchecked: throws
+/// SerializeError for a malformed request and StorageError for a foreign
+/// file id or an index >= file.n_segments.
+const Bytes& lookup_segment(const por::EncodedFile& file, BytesView request);
 
 /// The data the verifier signs (Fig. 5's R).
 struct AuditTranscript {

@@ -208,17 +208,4 @@ BatchedTranscripts VerifierDevice::run_audit_batch(
   return batch;
 }
 
-SignedTranscript VerifierDevice::run_block_audit(
-    const BlockAuditRequest& request) {
-  if (request.positions.empty()) {
-    throw ProtocolError("run_block_audit: no positions requested");
-  }
-  AuditRequest unified;
-  unified.file_id = request.file_id;
-  unified.k = static_cast<std::uint32_t>(request.positions.size());
-  unified.nonce = request.nonce;
-  unified.positions = request.positions;
-  return run_audit(unified);
-}
-
 }  // namespace geoproof::core

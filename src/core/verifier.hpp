@@ -127,14 +127,6 @@ class VerifierDevice {
   void set_span_recorder(obs::SpanRecorder* spans,
                          std::function<Nanos()> now);
 
-  /// Deprecated pre-unification shape; forwards to run_audit.
-  struct BlockAuditRequest {
-    std::uint64_t file_id = 0;
-    std::vector<std::uint64_t> positions;
-    Bytes nonce;
-  };
-  SignedTranscript run_block_audit(const BlockAuditRequest& request);
-
  private:
   struct Session;
   void begin_session(const AuditRequest& request, bool sign,

@@ -38,18 +38,12 @@ void ProverDaemon::stop() {
 }
 
 Bytes ProverDaemon::serve(BytesView request) {
-  const core::SegmentRequest req = core::SegmentRequest::deserialize(request);
-  if (req.file_id != file_.file_id) {
-    throw StorageError("prover: unknown file " + std::to_string(req.file_id));
-  }
-  if (req.index >= file_.n_segments) {
-    throw StorageError("prover: segment index out of range");
-  }
+  const Bytes& segment = core::lookup_segment(file_, request);
   if (config_.stall_ms > 0.0) {
     std::this_thread::sleep_for(to_nanos(Millis{config_.stall_ms}));
   }
   served_.fetch_add(1, std::memory_order_relaxed);
-  return file_.segments[static_cast<std::size_t>(req.index)];
+  return segment;
 }
 
 }  // namespace geoproof::daemon

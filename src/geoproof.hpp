@@ -66,12 +66,11 @@
 #include "por/sentinel.hpp"
 
 // GeoProof. The public audit API is core::AuditScheme (scheme.hpp): all
-// three flavours — MAC (auditor.hpp), sentinel (sentinel_geoproof.hpp),
-// dynamic (dynamic_geoproof.hpp) — implement it, and core::AuditService
-// schedules heterogeneous (scheme, file, provider) registrations through
-// it.
+// three flavours — MacAuditScheme, SentinelAuditScheme and
+// DynamicAuditScheme — live there (dynamic_geoproof.hpp adds the dynamic
+// provider's wire service), and core::AuditService schedules
+// heterogeneous (scheme, file, provider) registrations through it.
 #include "core/audit_service.hpp"
-#include "core/auditor.hpp"
 #include "core/deployment.hpp"
 #include "core/dynamic_geoproof.hpp"
 #include "core/gps.hpp"
@@ -80,7 +79,6 @@
 #include "core/provider.hpp"
 #include "core/replication.hpp"
 #include "core/scheme.hpp"
-#include "core/sentinel_geoproof.hpp"
 #include "core/sharded_engine.hpp"
 #include "core/transcript.hpp"
 #include "core/verifier.hpp"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/deployment.hpp"
@@ -10,6 +12,18 @@
 
 namespace geoproof::core {
 namespace {
+
+// Every per-registration call names its file id: the service has no
+// id-less overloads or one-registration constructor that would have to
+// guess which registration a mixed registry means.
+template <typename S>
+concept SingleRegistrationShape =
+    std::is_constructible_v<S, AuditScheme&, VerifierDevice&, FileRecord,
+                            std::uint32_t> ||
+    requires(S& s, const SimClock& c) { s.run_once(c); } ||
+    requires(const S& s) { s.history(); } ||
+    requires(const S& s) { s.consecutive_failures(); };
+static_assert(!SingleRegistrationShape<AuditService>);
 
 DeploymentConfig fast_config() {
   DeploymentConfig cfg;
@@ -21,38 +35,49 @@ DeploymentConfig fast_config() {
 
 struct ServiceFixture {
   SimulatedDeployment world{fast_config()};
-  Auditor::FileRecord record;
+  FileRecord record;
   ServiceFixture() {
     Rng rng(3);
     record = world.upload(rng.next_bytes(30000), 1);
+  }
+  /// A service holding this world's one registration.
+  AuditService service(std::uint32_t challenge_size) {
+    AuditService s;
+    s.add(world.scheme(), world.verifier(), record, challenge_size);
+    return s;
+  }
+  const AuditReport& run_once(AuditService& s) {
+    return s.run_once(world.clock(), record.file_id);
   }
 };
 
 TEST(AuditService, RunOnceRecordsHistory) {
   ServiceFixture f;
-  AuditService service(f.world.auditor(), f.world.verifier(), f.record, 10);
-  const AuditReport& report = service.run_once(f.world.clock());
+  AuditService service = f.service(10);
+  const AuditReport& report = f.run_once(service);
   EXPECT_TRUE(report.accepted);
-  ASSERT_EQ(service.history().size(), 1u);
+  ASSERT_EQ(service.history(f.record.file_id).size(), 1u);
   EXPECT_EQ(service.compliance().total, 1u);
   EXPECT_EQ(service.compliance().passed, 1u);
 }
 
 TEST(AuditService, ZeroChallengeRejected) {
   ServiceFixture f;
-  EXPECT_THROW(
-      AuditService(f.world.auditor(), f.world.verifier(), f.record, 0),
-      InvalidArgument);
+  AuditService service;
+  EXPECT_THROW(service.add(f.world.scheme(), f.world.verifier(), f.record, 0),
+               InvalidArgument);
+  EXPECT_EQ(service.size(), 0u);
 }
 
 TEST(AuditService, ScheduledAuditsRunAtIntervals) {
   ServiceFixture f;
-  AuditService service(f.world.auditor(), f.world.verifier(), f.record, 5);
+  AuditService service = f.service(5);
   const Nanos hour = std::chrono::duration_cast<Nanos>(std::chrono::hours(1));
   const Nanos start = f.world.clock().now() + hour;
   service.schedule(f.world.queue(), f.world.clock(), start, hour, 5);
   f.world.queue().run_all();
-  ASSERT_EQ(service.history().size(), 5u);
+  const auto& history = service.history(f.record.file_id);
+  ASSERT_EQ(history.size(), 5u);
   // Entries are time-ordered and roughly an hour apart. Audits start
   // exactly on the hour but the recorded time is completion, and each
   // audit consumes a few virtual milliseconds, so gaps float around the
@@ -60,7 +85,7 @@ TEST(AuditService, ScheduledAuditsRunAtIntervals) {
   const Nanos tolerance =
       std::chrono::duration_cast<Nanos>(std::chrono::seconds(5));
   for (std::size_t i = 1; i < 5; ++i) {
-    const Nanos gap = service.history()[i].at - service.history()[i - 1].at;
+    const Nanos gap = history[i].at - history[i - 1].at;
     EXPECT_GE(gap, hour - tolerance);
     EXPECT_LT(gap, hour + tolerance);
   }
@@ -69,47 +94,47 @@ TEST(AuditService, ScheduledAuditsRunAtIntervals) {
 
 TEST(AuditService, ComplianceTracksFailures) {
   ServiceFixture f;
-  AuditService service(f.world.auditor(), f.world.verifier(), f.record, 10);
+  AuditService service = f.service(10);
   // Two clean audits.
-  (void)service.run_once(f.world.clock());
-  (void)service.run_once(f.world.clock());
+  (void)f.run_once(service);
+  (void)f.run_once(service);
   // Provider relocates the data; subsequent audits fail.
   f.world.deploy_remote_relay(1, Kilometers{1500.0}, storage::ibm36z15());
-  (void)service.run_once(f.world.clock());
-  (void)service.run_once(f.world.clock());
-  (void)service.run_once(f.world.clock());
+  (void)f.run_once(service);
+  (void)f.run_once(service);
+  (void)f.run_once(service);
 
   const auto compliance = service.compliance();
   EXPECT_EQ(compliance.total, 5u);
   EXPECT_EQ(compliance.passed, 2u);
   EXPECT_FALSE(compliance.meets(0.99));
-  EXPECT_EQ(service.consecutive_failures(), 3u);
+  EXPECT_EQ(service.consecutive_failures(f.record.file_id), 3u);
 }
 
 TEST(AuditService, ConsecutiveFailuresResetOnRecovery) {
   ServiceFixture f;
-  AuditService service(f.world.auditor(), f.world.verifier(), f.record, 10);
+  AuditService service = f.service(10);
   f.world.deploy_remote_relay(1, Kilometers{1500.0}, storage::ibm36z15());
-  (void)service.run_once(f.world.clock());
-  EXPECT_EQ(service.consecutive_failures(), 1u);
+  (void)f.run_once(service);
+  EXPECT_EQ(service.consecutive_failures(f.record.file_id), 1u);
   f.world.restore_local_service();
-  (void)service.run_once(f.world.clock());
-  EXPECT_EQ(service.consecutive_failures(), 0u);
+  (void)f.run_once(service);
+  EXPECT_EQ(service.consecutive_failures(f.record.file_id), 0u);
 }
 
 TEST(AuditService, EmptyHistoryIsCompliant) {
   ServiceFixture f;
-  AuditService service(f.world.auditor(), f.world.verifier(), f.record, 10);
+  AuditService service = f.service(10);
   EXPECT_EQ(service.compliance().total, 0u);
   EXPECT_DOUBLE_EQ(service.compliance().rate(), 1.0);
-  EXPECT_EQ(service.consecutive_failures(), 0u);
+  EXPECT_EQ(service.consecutive_failures(f.record.file_id), 0u);
 }
 
 TEST(AuditService, DuplicateFileIdRejected) {
   ServiceFixture f;
-  AuditService service(f.world.auditor(), f.world.verifier(), f.record, 10);
+  AuditService service = f.service(10);
   EXPECT_THROW(
-      service.add(f.world.auditor(), f.world.verifier(), f.record, 10),
+      service.add(f.world.scheme(), f.world.verifier(), f.record, 10),
       InvalidArgument);
   EXPECT_THROW(service.run_once(f.world.clock(), /*file_id=*/999),
                InvalidArgument);
@@ -222,10 +247,10 @@ TEST(AuditService, MixedSchemesThroughOneService) {
   EXPECT_EQ(service.consecutive_failures(mac_id), 0u);
   EXPECT_FALSE(service.summary().empty());
 
-  // Mixed-registry service: the no-id single-registration conveniences
-  // must refuse rather than guess.
-  EXPECT_THROW(service.run_once(w.clock), InvalidArgument);
-  EXPECT_THROW(service.history(), InvalidArgument);
+  // Per-registration calls name their file id (SingleRegistrationShape
+  // pins that no id-less overload exists); a foreign id is refused.
+  EXPECT_THROW(service.run_once(w.clock, /*file_id=*/3), InvalidArgument);
+  EXPECT_THROW(service.history(/*file_id=*/3), InvalidArgument);
 }
 
 TEST(AuditService, SchemeErrorInScheduledAuditDoesNotAbortQueue) {

@@ -6,6 +6,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "core/verifier.hpp"
 #include "net/channel.hpp"
 #include "por/encoder.hpp"
 
@@ -13,6 +14,20 @@ namespace geoproof::core {
 namespace {
 
 const Bytes kMaster = bytes_of("dynamic geoproof master");
+
+/// TPA config for a device at the Brisbane site. The fixed nonce seed
+/// also seeds the challenge sampler, so every run of these cases audits
+/// the same segments.
+AuditorConfig dynamic_config(const VerifierDevice& verifier,
+                             LatencyPolicy policy) {
+  AuditorConfig cfg;
+  cfg.master_key = kMaster;
+  cfg.verifier_pk = verifier.public_key();
+  cfg.expected_position = {-27.47, 153.02};
+  cfg.policy = policy;
+  cfg.nonce_seed = 0xd7a;
+  return cfg;
+}
 
 por::PorParams small_params() {
   por::PorParams p;
@@ -30,7 +45,8 @@ struct DynWorld {
   std::unique_ptr<net::SimRequestChannel> channel;
   net::SimAuditTimer timer{clock};
   std::unique_ptr<VerifierDevice> verifier;
-  std::unique_ptr<DynamicAuditor> auditor;
+  std::unique_ptr<DynamicAuditScheme> auditor;
+  FileRecord record;
 
   DynWorld() {
     Rng rng(4);
@@ -47,20 +63,18 @@ struct DynWorld {
     vcfg.position = {-27.47, 153.02};
     verifier = std::make_unique<VerifierDevice>(vcfg, *channel, timer);
 
-    DynamicAuditor::Config acfg;
-    acfg.por = params;
-    acfg.master_key = kMaster;
-    acfg.verifier_pk = verifier->public_key();
-    acfg.expected_position = vcfg.position;
-    acfg.policy = LatencyPolicy::for_disk(storage::wd2500jd());
-    auditor = std::make_unique<DynamicAuditor>(acfg, provider->root(), 5,
-                                               provider->n_segments());
+    auditor = std::make_unique<DynamicAuditScheme>(
+        dynamic_config(*verifier,
+                       LatencyPolicy::for_disk(storage::wd2500jd())),
+        params);
+    record = auditor->register_file(5, provider->root(),
+                                    provider->n_segments());
   }
 
   AuditReport run(std::uint32_t k) {
-    const auto request = auditor->make_request(k);
+    const auto request = auditor->make_request(record, k);
     const SignedTranscript transcript = verifier->run_audit(request);
-    return auditor->verify(transcript);
+    return auditor->verify(record, transcript);
   }
 };
 
@@ -92,13 +106,14 @@ TEST(DynamicGeoProof, VerifiedUpdateThenAuditPasses) {
                            world.params.block_size,
                        0xab);
   const Bytes new_segment =
-      world.auditor->client().make_segment(idx, new_data);
+      world.auditor->client(5).make_segment(idx, new_data);
   const por::ReadProof old_proof = world.provider->read(idx);
-  ASSERT_TRUE(world.auditor->client().apply_write(idx, old_proof, new_segment));
+  ASSERT_TRUE(
+      world.auditor->client(5).apply_write(idx, old_proof, new_segment));
   world.provider->write(idx, new_segment);
 
   // Roots agree; audits under the new root pass.
-  EXPECT_EQ(world.auditor->root(), world.provider->root());
+  EXPECT_EQ(world.auditor->root(5), world.provider->root());
   const AuditReport report = world.run(20);
   EXPECT_TRUE(report.accepted) << report.summary();
 }
@@ -108,10 +123,10 @@ TEST(DynamicGeoProof, RollbackCaught) {
   // the next audit fails because proofs no longer match the tracked root.
   DynWorld world;
   const std::uint64_t idx = 2;
-  const Bytes new_segment = world.auditor->client().make_segment(
+  const Bytes new_segment = world.auditor->client(5).make_segment(
       idx,
       Bytes(world.params.blocks_per_segment * world.params.block_size, 0xcd));
-  ASSERT_TRUE(world.auditor->client().apply_write(
+  ASSERT_TRUE(world.auditor->client(5).apply_write(
       idx, world.provider->read(idx), new_segment));
   // Provider *drops* the write.
   const AuditReport report =
@@ -122,18 +137,18 @@ TEST(DynamicGeoProof, RollbackCaught) {
 
 TEST(DynamicGeoProof, ReplayRejected) {
   DynWorld world;
-  const auto request = world.auditor->make_request(5);
+  const auto request = world.auditor->make_request(world.record, 5);
   const SignedTranscript transcript = world.verifier->run_audit(request);
-  EXPECT_TRUE(world.auditor->verify(transcript).accepted);
-  EXPECT_FALSE(world.auditor->verify(transcript).accepted);
+  EXPECT_TRUE(world.auditor->verify(world.record, transcript).accepted);
+  EXPECT_FALSE(world.auditor->verify(world.record, transcript).accepted);
 }
 
 TEST(DynamicGeoProof, MalformedProofCountsAsBadRound) {
   DynWorld world;
-  const auto request = world.auditor->make_request(3);
+  const auto request = world.auditor->make_request(world.record, 3);
   SignedTranscript transcript = world.verifier->run_audit(request);
   transcript.transcript.segments[1] = bytes_of("not a proof");
-  const AuditReport report = world.auditor->verify(transcript);
+  const AuditReport report = world.auditor->verify(world.record, transcript);
   EXPECT_FALSE(report.accepted);
   // Signature also fails (transcript was altered after signing); the tag
   // failure is still attributed.
@@ -142,27 +157,26 @@ TEST(DynamicGeoProof, MalformedProofCountsAsBadRound) {
 
 TEST(DynamicGeoProof, SlowServiceCaughtByTiming) {
   DynWorld world;
-  DynamicAuditor::Config acfg;
-  acfg.por = world.params;
-  acfg.master_key = kMaster;
-  acfg.verifier_pk = world.verifier->public_key();
-  acfg.expected_position = {-27.47, 153.02};
-  acfg.policy = LatencyPolicy{Millis{0.01}, Millis{0.01}, Millis{0}};
-  DynamicAuditor strict(acfg, world.provider->root(), 5,
-                        world.provider->n_segments());
-  const auto request = strict.make_request(5);
+  DynamicAuditScheme strict(
+      dynamic_config(*world.verifier,
+                     LatencyPolicy{Millis{0.01}, Millis{0.01}, Millis{0}}),
+      world.params);
+  const FileRecord record = strict.register_file(
+      5, world.provider->root(), world.provider->n_segments());
+  const auto request = strict.make_request(record, 5);
   const SignedTranscript transcript = world.verifier->run_audit(request);
-  const AuditReport report = strict.verify(transcript);
+  const AuditReport report = strict.verify(record, transcript);
   EXPECT_FALSE(report.accepted);
   EXPECT_TRUE(report.failed(AuditFailure::kTiming));
 }
 
 TEST(DynamicGeoProof, ConfigValidated) {
-  DynamicAuditor::Config cfg;
+  AuditorConfig cfg;
   cfg.master_key = bytes_of("k");
-  EXPECT_THROW(DynamicAuditor(cfg, crypto::Digest{}, 1, 0), InvalidArgument);
+  DynamicAuditScheme scheme(cfg, small_params());
+  EXPECT_THROW(scheme.register_file(1, crypto::Digest{}, 0), InvalidArgument);
   cfg.master_key = {};
-  EXPECT_THROW(DynamicAuditor(cfg, crypto::Digest{}, 1, 10), InvalidArgument);
+  EXPECT_THROW(DynamicAuditScheme(cfg, small_params()), InvalidArgument);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ DeploymentConfig fast_config(net::GeoPoint site) {
 
 struct Fixture {
   SimulatedDeployment world;
-  Auditor::FileRecord record;
+  FileRecord record;
   explicit Fixture(net::GeoPoint site = net::places::brisbane())
       : world(fast_config(site)) {
     Rng rng(5);

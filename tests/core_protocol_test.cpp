@@ -37,7 +37,7 @@ TEST(GeoProofProtocol, HonestProviderAccepted) {
   // RTTs are LAN + one disk look-up: inside the calibrated budget, above
   // the bare LAN time.
   EXPECT_LT(report.max_rtt.count(),
-            world.auditor().policy().max_round_trip().count());
+            world.scheme().policy().max_round_trip().count());
   EXPECT_GT(report.max_rtt.count(), 1.0);
 }
 
@@ -86,7 +86,7 @@ TEST(GeoProofProtocol, RelayToFarDataCentreCaughtByTiming) {
   // Tags are fine - the data is intact, just in the wrong place.
   EXPECT_EQ(report.bad_tags, 0u);
   EXPECT_GT(report.max_rtt.count(),
-            world.auditor().policy().max_round_trip().count());
+            world.scheme().policy().max_round_trip().count());
 }
 
 TEST(GeoProofProtocol, VeryNearRelayInsideBoundEvadesTiming) {
@@ -148,11 +148,11 @@ TEST(GeoProofProtocol, SmallGpsDriftTolerated) {
 TEST(GeoProofProtocol, ReplayedTranscriptRejected) {
   SimulatedDeployment world(fast_config());
   const auto record = world.upload(test_file(40000), 1);
-  const AuditRequest request = world.auditor().make_request(record, 10);
+  const AuditRequest request = world.scheme().make_request(record, 10);
   const SignedTranscript transcript = world.verifier().run_audit(request);
-  EXPECT_TRUE(world.auditor().verify(record, transcript).accepted);
+  EXPECT_TRUE(world.scheme().verify(record, transcript).accepted);
   // Replaying the very same transcript must fail: nonce consumed.
-  const AuditReport replay = world.auditor().verify(record, transcript);
+  const AuditReport replay = world.scheme().verify(record, transcript);
   EXPECT_FALSE(replay.accepted);
   EXPECT_TRUE(replay.failed(AuditFailure::kNonceMismatch));
 }
@@ -166,7 +166,7 @@ TEST(GeoProofProtocol, ForeignNonceRejected) {
   forged.k = 5;
   forged.nonce = bytes_of("never-issued-by-the-tpa");
   const SignedTranscript transcript = world.verifier().run_audit(forged);
-  const AuditReport report = world.auditor().verify(record, transcript);
+  const AuditReport report = world.scheme().verify(record, transcript);
   EXPECT_FALSE(report.accepted);
   EXPECT_TRUE(report.failed(AuditFailure::kNonceMismatch));
 }
@@ -174,11 +174,11 @@ TEST(GeoProofProtocol, ForeignNonceRejected) {
 TEST(GeoProofProtocol, TamperedTranscriptSignatureFails) {
   SimulatedDeployment world(fast_config());
   const auto record = world.upload(test_file(40000), 1);
-  const AuditRequest request = world.auditor().make_request(record, 10);
+  const AuditRequest request = world.scheme().make_request(record, 10);
   SignedTranscript transcript = world.verifier().run_audit(request);
   // The provider intercepts the transcript and shaves the recorded RTTs.
   for (auto& rtt : transcript.transcript.rtts) rtt = Millis{0.5};
-  const AuditReport report = world.auditor().verify(record, transcript);
+  const AuditReport report = world.scheme().verify(record, transcript);
   EXPECT_FALSE(report.accepted);
   EXPECT_TRUE(report.failed(AuditFailure::kSignature));
 }
@@ -188,11 +188,11 @@ TEST(GeoProofProtocol, SegmentSubstitutionCaught) {
   // the index inside the MAC catches it even though the bytes are valid.
   SimulatedDeployment world(fast_config());
   const auto record = world.upload(test_file(40000), 1);
-  const AuditRequest request = world.auditor().make_request(record, 10);
+  const AuditRequest request = world.scheme().make_request(record, 10);
   SignedTranscript transcript = world.verifier().run_audit(request);
   std::swap(transcript.transcript.segments[0],
             transcript.transcript.segments[1]);
-  const AuditReport report = world.auditor().verify(record, transcript);
+  const AuditReport report = world.scheme().verify(record, transcript);
   EXPECT_FALSE(report.accepted);
   // Both the signature (transcript altered) and tags break.
   EXPECT_TRUE(report.failed(AuditFailure::kSignature));
@@ -201,7 +201,7 @@ TEST(GeoProofProtocol, SegmentSubstitutionCaught) {
 TEST(GeoProofProtocol, ChallengeCountMatchesRequest) {
   SimulatedDeployment world(fast_config());
   const auto record = world.upload(test_file(40000), 1);
-  const AuditRequest request = world.auditor().make_request(record, 17);
+  const AuditRequest request = world.scheme().make_request(record, 17);
   const SignedTranscript transcript = world.verifier().run_audit(request);
   EXPECT_EQ(transcript.transcript.challenge.size(), 17u);
   EXPECT_EQ(transcript.transcript.rtts.size(), 17u);

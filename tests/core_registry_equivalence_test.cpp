@@ -34,7 +34,7 @@ static_assert(
                    std::uint64_t>);
 static_assert(
     std::is_same_v<decltype(std::declval<const AuditService&>()
-                                .consecutive_failures()),
+                                .consecutive_failures(std::uint64_t{1})),
                    std::uint64_t>);
 static_assert(
     std::is_same_v<decltype(std::declval<ShardedAuditEngine&>().sweep_once()),
@@ -236,6 +236,46 @@ TEST(RegistryEquivalence, BatchFaultIsolatesFailingGroup) {
   EXPECT_EQ(service.consecutive_failures(11), 0u);
 }
 
+TEST(RegistryEquivalence, GroupEndDelimitsSameDeviceRuns) {
+  // group_end is the one grouping rule: maximal consecutive runs sharing a
+  // (scheme, verifier) pair, so interleaved devices split into singletons.
+  MacFarm a(2, /*first_id=*/1);
+  MacFarm b(2, /*first_id=*/11);
+  AuditService service;
+  a.add_all(service);
+  b.add_all(service);
+  const std::vector<std::uint64_t> ids = {1, 2, 11, 12, 1};
+  EXPECT_EQ(service.group_end(ids, 0), 2u);
+  EXPECT_EQ(service.group_end(ids, 1), 2u);
+  EXPECT_EQ(service.group_end(ids, 2), 4u);
+  EXPECT_EQ(service.group_end(ids, 4), 5u);
+  EXPECT_THROW((void)service.group_end(ids, 5), InvalidArgument);
+  EXPECT_THROW((void)service.group_end({1, 99}, 1), InvalidArgument);
+
+  // Walking groups by hand through run_group spends one key per group and
+  // records exactly what run_batch would.
+  const AuditService::Now now = [&a] { return a.clock.now(); };
+  const std::uint32_t a_keys = a.verifier->audits_remaining();
+  const std::uint32_t b_keys = b.verifier->audits_remaining();
+  std::uint64_t passed = 0;
+  for (std::size_t begin = 0; begin < 4;) {
+    const std::size_t end = service.group_end(ids, begin);
+    passed += service.run_group(now, ids, begin, end);
+    begin = end;
+  }
+  EXPECT_EQ(passed, 4u);
+  EXPECT_EQ(a.verifier->audits_remaining(), a_keys - 1);
+  EXPECT_EQ(b.verifier->audits_remaining(), b_keys - 1);
+  EXPECT_EQ(service.compliance().total, 4u);
+
+  // run_group refuses ranges group_end would never produce instead of
+  // auditing a foreign device's registration under the lead's pair.
+  EXPECT_THROW(service.run_group(now, ids, 1, 3), InvalidArgument);
+  EXPECT_THROW(service.run_group(now, ids, 2, 2), InvalidArgument);
+  EXPECT_THROW(service.run_group(now, ids, 4, 6), InvalidArgument);
+  EXPECT_EQ(service.compliance().total, 4u) << "refused groups record nothing";
+}
+
 TEST(RegistryEquivalence, BoundedRingKeepsCountersExact) {
   // Drive a full-retention service and a ring-limited one through the same
   // deterministic world sequence: counters must agree exactly; the ring
@@ -248,9 +288,9 @@ TEST(RegistryEquivalence, BoundedRingKeepsCountersExact) {
   const auto drive = [&cfg](AuditService::Options options) {
     SimulatedDeployment world(cfg);
     Rng rng(3);
-    const Auditor::FileRecord record = world.upload(rng.next_bytes(30000), 1);
+    const FileRecord record = world.upload(rng.next_bytes(30000), 1);
     AuditService service(options);
-    service.add(world.auditor(), world.verifier(), record, 10);
+    service.add(world.scheme(), world.verifier(), record, 10);
     (void)service.run_once(world.clock(), 1);
     (void)service.run_once(world.clock(), 1);
     world.deploy_remote_relay(1, Kilometers{1500.0}, storage::ibm36z15());

@@ -1,18 +1,31 @@
 // End-to-end tests of the sentinel-variant GeoProof (§IV's original
 // Juels-Kaliski flavour under the timed protocol).
-#include "core/sentinel_geoproof.hpp"
-
 #include <gtest/gtest.h>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/provider.hpp"
+#include "core/scheme.hpp"
+#include "core/verifier.hpp"
 #include "net/channel.hpp"
 
 namespace geoproof::core {
 namespace {
 
 const Bytes kMaster = bytes_of("sentinel geoproof master");
+
+/// TPA config for a device at `site`. The fixed nonce seed keeps the
+/// issued nonces, and so every run of these cases, reproducible.
+AuditorConfig sentinel_config(const VerifierDevice& verifier,
+                              net::GeoPoint site, LatencyPolicy policy) {
+  AuditorConfig cfg;
+  cfg.master_key = kMaster;
+  cfg.verifier_pk = verifier.public_key();
+  cfg.expected_position = site;
+  cfg.policy = policy;
+  cfg.nonce_seed = 0x5e17;
+  return cfg;
+}
 
 struct SentinelWorld {
   por::SentinelParams params{.block_size = 16, .n_sentinels = 200};
@@ -21,7 +34,7 @@ struct SentinelWorld {
   std::unique_ptr<net::SimRequestChannel> channel;
   net::SimAuditTimer timer{clock};
   std::unique_ptr<VerifierDevice> verifier;
-  std::unique_ptr<SentinelAuditor> auditor;
+  std::unique_ptr<SentinelAuditScheme> auditor;
   FileRecord record;
   por::SentinelEncoded encoded;
 
@@ -43,13 +56,10 @@ struct SentinelWorld {
     vcfg.position = site;
     verifier = std::make_unique<VerifierDevice>(vcfg, *channel, timer);
 
-    SentinelAuditor::Config acfg;
-    acfg.params = params;
-    acfg.master_key = kMaster;
-    acfg.verifier_pk = verifier->public_key();
-    acfg.expected_position = site;
-    acfg.policy = LatencyPolicy::for_disk(storage::wd2500jd());
-    auditor = std::make_unique<SentinelAuditor>(acfg);
+    auditor = std::make_unique<SentinelAuditScheme>(
+        sentinel_config(*verifier, site,
+                        LatencyPolicy::for_disk(storage::wd2500jd())),
+        params);
   }
 
   AuditReport run(unsigned count) {
@@ -136,13 +146,10 @@ TEST(SentinelGeoProof, TimingStillEnforced) {
   // Same audit, but the provider's disk is replaced by an implausibly slow
   // budget: every round violates.
   SentinelWorld world;
-  SentinelAuditor::Config acfg;
-  acfg.params = world.params;
-  acfg.master_key = kMaster;
-  acfg.verifier_pk = world.verifier->public_key();
-  acfg.expected_position = {-27.47, 153.02};
-  acfg.policy = LatencyPolicy{Millis{0.01}, Millis{0.01}, Millis{0}};
-  SentinelAuditor strict(acfg);
+  SentinelAuditScheme strict(
+      sentinel_config(*world.verifier, {-27.47, 153.02},
+                      LatencyPolicy{Millis{0.01}, Millis{0.01}, Millis{0}}),
+      world.params);
   const auto request = strict.make_request(world.record, 5);
   const SignedTranscript transcript = world.verifier->run_audit(request);
   const AuditReport report = strict.verify(world.record, transcript);
@@ -151,9 +158,10 @@ TEST(SentinelGeoProof, TimingStillEnforced) {
 }
 
 TEST(SentinelGeoProof, ConfigValidated) {
-  SentinelAuditor::Config cfg;
+  AuditorConfig cfg;
   cfg.master_key = {};
-  EXPECT_THROW(SentinelAuditor{cfg}, InvalidArgument);
+  EXPECT_THROW(SentinelAuditScheme(cfg, por::SentinelParams{}),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -475,44 +475,6 @@ TEST(ShardedEngine, RunForCompletesWholeSweeps) {
 // Parked worker pool + the generic run_on_shards hook
 // ---------------------------------------------------------------------------
 
-TEST(ShardedEngine, ParkedAndRespawnModesProduceIdenticalSweeps) {
-  const FleetSpec spec{.files_per_flavour = 3, .seed = 23};
-  Fleet parked_fleet = make_fleet(spec);
-  Fleet respawn_fleet = make_fleet(spec);
-
-  ShardedAuditEngine::Options parked_opts;
-  parked_opts.shards = 3;
-  parked_opts.parked_workers = true;
-  ShardedAuditEngine::ShardClock parked_reader = parked_fleet.stamp_reader();
-  parked_opts.clock_source = [&parked_reader](std::size_t) {
-    return parked_reader;
-  };
-  ShardedAuditEngine parked(parked_fleet.service, parked_opts);
-
-  ShardedAuditEngine::Options respawn_opts = parked_opts;
-  respawn_opts.parked_workers = false;
-  ShardedAuditEngine::ShardClock respawn_reader =
-      respawn_fleet.stamp_reader();
-  respawn_opts.clock_source = [&respawn_reader](std::size_t) {
-    return respawn_reader;
-  };
-  ShardedAuditEngine respawn(respawn_fleet.service, respawn_opts);
-
-  for (int sweep = 0; sweep < 4; ++sweep) {
-    EXPECT_EQ(parked.sweep_once(), respawn.sweep_once()) << "sweep " << sweep;
-  }
-  EXPECT_EQ(parked.stats().audits, respawn.stats().audits);
-  EXPECT_EQ(parked.stats().passed, respawn.stats().passed);
-  // Per-file audit *outcomes* must agree; entry order within a shard's
-  // history may differ only in timestamps, which both fleets read off
-  // equivalent stamp clocks.
-  for (const std::uint64_t id : parked_fleet.service.file_ids()) {
-    EXPECT_EQ(parked_fleet.service.compliance(id).passed,
-              respawn_fleet.service.compliance(id).passed)
-        << "file " << id;
-  }
-}
-
 TEST(ShardedEngine, RunOnShardsRunsEveryShardExactlyOnce) {
   Fleet fleet = make_fleet({.files_per_flavour = 1, .seed = 31});
   ShardedAuditEngine::Options opts;

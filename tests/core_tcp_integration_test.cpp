@@ -10,7 +10,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
-#include "core/auditor.hpp"
+#include "core/scheme.hpp"
 #include "core/transcript.hpp"
 #include "core/verifier.hpp"
 #include "net/tcp.hpp"
@@ -39,30 +39,26 @@ struct TcpWorld {
     const por::PorEncoder encoder(params);
     file = encoder.encode(rng.next_bytes(30000), file_id, kMaster);
     server = std::make_unique<net::TcpServer>([this](BytesView request) {
-      const SegmentRequest req = SegmentRequest::deserialize(request);
-      if (req.file_id != file.file_id || req.index >= file.n_segments) {
-        throw StorageError("unknown segment");
-      }
+      const Bytes& segment = lookup_segment(file, request);
       const int delay = lookup_delay_ms.load();
       if (delay > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay));
       }
-      return file.segments[static_cast<std::size_t>(req.index)];
+      return segment;
     });
   }
 };
 
-Auditor::Config auditor_config(const TcpWorld& world,
-                               const crypto::Digest& verifier_pk,
-                               Millis max_lookup) {
-  Auditor::Config cfg;
-  cfg.por = world.params;
+MacAuditScheme make_scheme(const TcpWorld& world,
+                           const crypto::Digest& verifier_pk,
+                           Millis max_lookup) {
+  AuditorConfig cfg;
   cfg.master_key = kMaster;
   cfg.verifier_pk = verifier_pk;
   cfg.expected_position = {-27.47, 153.02};
   // Generous network budget: loopback plus scheduler noise.
   cfg.policy = LatencyPolicy{Millis{20.0}, max_lookup, Millis{5.0}};
-  return cfg;
+  return MacAuditScheme(cfg, world.params);
 }
 
 TEST(TcpIntegration, HonestAuditOverRealSockets) {
@@ -73,12 +69,13 @@ TEST(TcpIntegration, HonestAuditOverRealSockets) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{50.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme scheme =
+      make_scheme(world, verifier.public_key(), Millis{50.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
-  const AuditRequest request = auditor.make_request(record, 15);
+  const AuditRequest request = scheme.make_request(record, 15);
   const SignedTranscript transcript = verifier.run_audit(request);
-  const AuditReport report = auditor.verify(record, transcript);
+  const AuditReport report = scheme.verify(record, transcript);
   EXPECT_TRUE(report.accepted) << report.summary();
   EXPECT_EQ(report.bad_tags, 0u);
   // Loopback RTTs exist and are sane.
@@ -95,12 +92,13 @@ TEST(TcpIntegration, SlowLookupsCaughtByWallClock) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{10.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme scheme =
+      make_scheme(world, verifier.public_key(), Millis{10.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
-  const AuditRequest request = auditor.make_request(record, 5);
+  const AuditRequest request = scheme.make_request(record, 5);
   const SignedTranscript transcript = verifier.run_audit(request);
-  const AuditReport report = auditor.verify(record, transcript);
+  const AuditReport report = scheme.verify(record, transcript);
   EXPECT_FALSE(report.accepted);
   EXPECT_TRUE(report.failed(AuditFailure::kTiming)) << report.summary();
   EXPECT_GE(report.max_rtt.count(), 60.0);
@@ -116,14 +114,15 @@ TEST(TcpIntegration, TranscriptSurvivesWireSerialization) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{50.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme scheme =
+      make_scheme(world, verifier.public_key(), Millis{50.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
   const AuditRequest request =
-      AuditRequest::deserialize(auditor.make_request(record, 8).serialize());
+      AuditRequest::deserialize(scheme.make_request(record, 8).serialize());
   const Bytes wire = verifier.run_audit(request).serialize();
   const SignedTranscript transcript = SignedTranscript::deserialize(wire);
-  EXPECT_TRUE(auditor.verify(record, transcript).accepted);
+  EXPECT_TRUE(scheme.verify(record, transcript).accepted);
 }
 
 TEST(TcpIntegration, CorruptSegmentDetectedOverWire) {
@@ -135,14 +134,15 @@ TEST(TcpIntegration, CorruptSegmentDetectedOverWire) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{50.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme scheme =
+      make_scheme(world, verifier.public_key(), Millis{50.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
   // Challenge everything so segment 4 is definitely fetched.
-  const AuditRequest request = auditor.make_request(
+  const AuditRequest request = scheme.make_request(
       record, static_cast<std::uint32_t>(world.file.n_segments));
   const SignedTranscript transcript = verifier.run_audit(request);
-  const AuditReport report = auditor.verify(record, transcript);
+  const AuditReport report = scheme.verify(record, transcript);
   EXPECT_FALSE(report.accepted);
   EXPECT_EQ(report.bad_tags, 1u);
 }

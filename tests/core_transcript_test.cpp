@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/errors.hpp"
+#include "por/encoder.hpp"
 
 namespace geoproof::core {
 namespace {
@@ -77,6 +78,45 @@ TEST(SegmentRequest, RejectsTrailingBytes) {
   Bytes wire = SegmentRequest{1, 2}.serialize();
   wire.push_back(0);
   EXPECT_THROW(SegmentRequest::deserialize(wire), SerializeError);
+}
+
+por::EncodedFile three_segment_file() {
+  por::EncodedFile file;
+  file.file_id = 7;
+  file.n_segments = 3;
+  file.segments = {bytes_of("seg-0"), bytes_of("seg-1"), bytes_of("seg-2")};
+  return file;
+}
+
+TEST(LookupSegment, ServesRequestedSegment) {
+  const por::EncodedFile file = three_segment_file();
+  EXPECT_EQ(lookup_segment(file, SegmentRequest{7, 0}.serialize()),
+            bytes_of("seg-0"));
+  EXPECT_EQ(lookup_segment(file, SegmentRequest{7, 2}.serialize()),
+            bytes_of("seg-2"));
+}
+
+TEST(LookupSegment, RejectsForeignFileId) {
+  const por::EncodedFile file = three_segment_file();
+  EXPECT_THROW(lookup_segment(file, SegmentRequest{8, 0}.serialize()),
+               StorageError);
+}
+
+TEST(LookupSegment, RejectsIndexAtSegmentCount) {
+  const por::EncodedFile file = three_segment_file();
+  EXPECT_THROW(lookup_segment(file, SegmentRequest{7, 3}.serialize()),
+               StorageError);
+  EXPECT_THROW(
+      lookup_segment(file, SegmentRequest{7, ~std::uint64_t{0}}.serialize()),
+      StorageError);
+}
+
+TEST(LookupSegment, RejectsTruncatedRequest) {
+  const por::EncodedFile file = three_segment_file();
+  Bytes wire = SegmentRequest{7, 1}.serialize();
+  wire.pop_back();
+  EXPECT_THROW(lookup_segment(file, wire), SerializeError);
+  EXPECT_THROW(lookup_segment(file, Bytes{}), SerializeError);
 }
 
 TEST(AuditTranscript, SerializeRoundTrip) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the GeoProof tree.
 
-Seven rules, each enforcing a discipline the type system cannot:
+Eight rules, each enforcing a discipline the type system cannot:
 
   clock      std::chrono::steady_clock / system_clock only in the clock
              abstraction and the explicitly real-time sites (net transport,
@@ -17,6 +17,9 @@ Seven rules, each enforcing a discipline the type system cannot:
              wrapper; a stray close elsewhere double-closes or leaks.
   raw-rng    std::mt19937 / rand() / srand() only inside common/rng; all
              other code takes a seeded geoproof::Rng so runs replay.
+  raw-mutex  std::mutex only inside common/thread_annotations.hpp; all
+             other code locks a geoproof::Mutex through MutexLock, which
+             Clang's -Wthread-safety analysis can see.
   test-reg   every tests/*_test.cpp must be registered in
              tests/CMakeLists.txt, or it silently never runs in CI.
   func-reg   every tests/functional/test_*.py must be registered in
@@ -158,6 +161,15 @@ RULES = [
         message=(
             "raw std RNG outside common/rng; take a seeded geoproof::Rng "
             "so runs are replayable"
+        ),
+    ),
+    Rule(
+        name="raw-mutex",
+        pattern=re.compile(r"std::mutex(?![A-Za-z0-9_])"),
+        allowlist=frozenset({"src/common/thread_annotations.hpp"}),
+        message=(
+            "raw std::mutex outside common/thread_annotations.hpp; use "
+            "geoproof::Mutex + MutexLock so -Wthread-safety sees the lock"
         ),
     ),
 ]

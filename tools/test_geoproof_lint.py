@@ -151,6 +151,31 @@ class RawRngRuleTest(unittest.TestCase):
         self.assertEqual(geoproof_lint.check_patterns(root), [])
 
 
+class RawMutexRuleTest(unittest.TestCase):
+    def test_flags_std_mutex_outside_annotations_header(self):
+        root = make_tree(
+            {
+                "src/core/engine.hpp": "std::map<int, std::unique_ptr<std::mutex>> mu_;\n",
+                "tests/foo_test.cpp": "std::mutex m; // std::mutex in prose\n",
+            }
+        )
+        violations = geoproof_lint.check_patterns(root)
+        self.assertEqual(rules_hit(violations), ["raw-mutex"])
+        self.assertEqual(len(violations), 2)
+
+    def test_annotations_header_and_wrappers_are_clean(self):
+        root = make_tree(
+            {
+                "src/common/thread_annotations.hpp": "std::mutex mu_;\n",
+                "src/core/engine.hpp": (
+                    "Mutex mu_; // not a std::mutex\n"
+                    "std::unique_lock<std::mutex_like> l; std::shared_mutex s;\n"
+                ),
+            }
+        )
+        self.assertEqual(geoproof_lint.check_patterns(root), [])
+
+
 class TestRegistrationRuleTest(unittest.TestCase):
     def test_unregistered_test_is_flagged(self):
         root = make_tree(
