@@ -23,7 +23,6 @@
 #include "core/dynamic_geoproof.hpp"
 #include "core/provider.hpp"
 #include "core/sharded_engine.hpp"
-#include "net/async.hpp"
 #include "net/channel.hpp"
 #include "net/latency.hpp"
 
@@ -280,137 +279,5 @@ int main() {
               "failures = the data rotted (sentinel values or Merkle "
               "proofs). One engine, three flavours, every provider watched "
               "concurrently.\n");
-
-  // Phase 3: the async transport. The same twelve-provider fleet, rebuilt
-  // on two region worlds (one per shard), audited through SimAsyncChannels
-  // by a 2-shard engine whose shards each hold six distance-bounding
-  // sessions in flight on one event queue. Each provider's disk time is
-  // charged to its own private service clock, so concurrent look-ups
-  // overlap instead of stacking — run the identical fleet serialised
-  // (max_in_flight = 1) and overlapped (max_in_flight = 6) and compare
-  // the virtual time each region spent.
-  std::printf("\nasync transport: 12 providers, 2 shards, overlapping "
-              "sessions\n"
-              "========================================================\n");
-  struct AsyncRegion {
-    SimClock clock;
-    EventQueue queue{clock};
-    net::SimAsyncDriver driver{queue};
-  };
-  struct AsyncSite {
-    SimClock disk_clock;  // private: service time, overlappable
-    net::SimAuditTimer timer;
-    std::unique_ptr<CloudProvider> provider;
-    std::unique_ptr<por::EncodedFile> encoded;
-    std::unique_ptr<net::SimAsyncChannel> channel;
-    std::unique_ptr<VerifierDevice> verifier;
-    FileRecord record;
-    explicit AsyncSite(SimClock& region_clock) : timer(region_clock) {}
-  };
-  struct AsyncFleet {
-    std::vector<std::unique_ptr<AsyncRegion>> regions;
-    std::vector<std::unique_ptr<AsyncSite>> sites;
-    std::unique_ptr<MacAuditScheme> scheme;
-    AuditService service;
-  };
-  const auto region_of = [](std::uint64_t id) {
-    return static_cast<std::size_t>((id - 1) % 2);
-  };
-  const auto build_async_fleet = [&](AsyncFleet& fleet) {
-    Rng fleet_rng(4052);
-    por::PorParams por_params_async;
-    por_params_async.ecc_data_blocks = 48;
-    por_params_async.ecc_parity_blocks = 16;
-    for (std::size_t r = 0; r < 2; ++r) {
-      fleet.regions.push_back(std::make_unique<AsyncRegion>());
-    }
-    for (std::uint64_t id = 1; id <= kProviders; ++id) {
-      AsyncRegion& region = *fleet.regions[region_of(id)];
-      auto site = std::make_unique<AsyncSite>(region.clock);
-      CloudProvider::Config pcfg;
-      pcfg.name = "adc-" + std::to_string(id);
-      pcfg.location = contracted;
-      pcfg.disk = disk_for(id);
-      pcfg.seed = 0xa5e + id;
-      // The provider's disk charges its *own* clock; the channel folds
-      // that service time into each response's arrival on the region
-      // clock, so sessions overlap honestly.
-      site->provider = std::make_unique<CloudProvider>(pcfg, site->disk_clock);
-      site->encoded = std::make_unique<por::EncodedFile>(
-          por::PorEncoder(por_params_async)
-              .encode(fleet_rng.next_bytes(30000), id, master));
-      site->provider->store(*site->encoded);
-      site->record = FileRecord{id, site->encoded->n_segments, 0};
-      site->channel = std::make_unique<net::SimAsyncChannel>(
-          region.clock, region.queue,
-          net::lan_latency(net::LanModel{}, Kilometers{0.1}, id),
-          site->provider->handler(), &site->disk_clock);
-      VerifierDevice::Config vcfg;
-      vcfg.position = contracted;
-      site->verifier = std::make_unique<VerifierDevice>(
-          vcfg, *site->channel, site->timer, &region.driver);
-      fleet.sites.push_back(std::move(site));
-    }
-    AuditorConfig acfg;
-    acfg.master_key = master;
-    acfg.verifier_pk = fleet.sites.front()->verifier->public_key();
-    acfg.expected_position = contracted;
-    acfg.policy = fleet_policy();
-    fleet.scheme = std::make_unique<MacAuditScheme>(acfg, por_params_async);
-    for (auto& site : fleet.sites) {
-      fleet.service.add(*fleet.scheme, *site->verifier, site->record,
-                        kMacChallenge,
-                        "mac/adc-" + std::to_string(site->record.file_id));
-    }
-  };
-  const auto run_async_sweep = [&](AsyncFleet& fleet,
-                                   std::size_t max_in_flight) {
-    ShardedAuditEngine::Options aopts;
-    aopts.shards = 2;
-    aopts.partitioner = [&region_of](std::uint64_t id, std::size_t) {
-      return region_of(id);
-    };
-    aopts.clock_source = [&fleet](std::size_t shard) {
-      SimClock* clock = &fleet.regions[shard]->clock;
-      return [clock] { return clock->now(); };
-    };
-    aopts.driver_source = [&fleet](std::size_t shard) {
-      return &fleet.regions[shard]->driver;
-    };
-    aopts.max_in_flight = max_in_flight;
-    ShardedAuditEngine engine(fleet.service, aopts);
-    const unsigned passed = engine.sweep_once();
-    double worst_region_ms = 0.0;
-    for (const auto& region : fleet.regions) {
-      worst_region_ms = std::max(
-          worst_region_ms, to_millis(region->clock.now()).count());
-    }
-    return std::pair<unsigned, double>{passed, worst_region_ms};
-  };
-
-  AsyncFleet serial_fleet, overlap_fleet;
-  build_async_fleet(serial_fleet);
-  build_async_fleet(overlap_fleet);
-  const auto [serial_passed, serial_ms] = run_async_sweep(serial_fleet, 1);
-  const auto [overlap_passed, overlap_ms] = run_async_sweep(overlap_fleet, 6);
-  std::printf("  serialised (1 in-flight/shard):  %2u/%u passed, "
-              "%7.2f ms virtual per region\n",
-              serial_passed, kProviders, serial_ms);
-  std::printf("  overlapped (6 in-flight/shard):  %2u/%u passed, "
-              "%7.2f ms virtual per region\n",
-              overlap_passed, kProviders, overlap_ms);
-  std::printf("  overlap speedup: %.1fx\n", serial_ms / overlap_ms);
-
-  // Smoke-test assertions: every audit passes on both transports, and
-  // overlapping six sessions per shard must beat serialising them by at
-  // least 2x in virtual time — the whole point of the event-loop layer.
-  if (serial_passed != kProviders || overlap_passed != kProviders) {
-    std::printf("FAIL: async sweep rejected an honest provider\n");
-    return 1;
-  }
-  if (overlap_ms * 2.0 > serial_ms) {
-    std::printf("FAIL: in-flight sessions did not overlap\n");
-    return 1;
-  }
   return 0;
 }

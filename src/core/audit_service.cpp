@@ -236,20 +236,17 @@ const AuditReport& AuditService::run_once(const Now& now,
   return append_entry(slot, std::move(entry));
 }
 
-void AuditService::begin_once(const Now& now, std::uint64_t file_id,
-                              Completion done) {
-  Slot& slot = find_slot(file_id);
-  // Slot addresses are stable for the session's lifetime under the
-  // no-add/remove-while-auditing contract.
-  slot.reg.scheme->begin_audit(
-      slot.reg.file, slot.reg.challenge_size, *slot.reg.verifier,
-      [this, &slot, now, done = std::move(done)](AuditReport&& report) {
-        Entry entry;
-        entry.report = std::move(report);
-        entry.at = now();
-        const AuditReport& recorded = append_entry(slot, std::move(entry));
-        if (done) done(recorded);
-      });
+AuditReport AuditService::audit_isolated(std::uint64_t file_id) {
+  const Registration& reg = find_slot(file_id).reg;
+  try {
+    return reg.scheme->audit_once(reg.file, reg.challenge_size,
+                                  *reg.verifier);
+  } catch (const std::exception&) {
+    // A scheme/device/channel error (sentinel or signing-key exhaustion, a
+    // dead provider) is this registration's problem alone: report it as an
+    // audit that could not run and let every other audit keep flowing.
+    return AuditReport::aborted();
+  }
 }
 
 void AuditService::record(std::uint64_t file_id, Nanos at,
@@ -319,12 +316,15 @@ std::uint64_t AuditService::run_group(const Now& now,
     }
     members.push_back(&slot);
   }
-  std::uint64_t passed = 0;
   // Span phases ride the caller's clock (no clock reads of our own): the
   // group's timeline is challenge build -> bit-exchange rounds -> verify
   // plus record. Zero-duration phases are fine under a virtual Now.
   obs::SpanRecorder* const spans = spans_;
   const Nanos t0 = spans != nullptr ? now() : Nanos{0};
+  Nanos t1 = t0;
+  Nanos t2 = t0;
+  std::vector<AuditReport> reports;
+  bool ran = true;
   try {
     std::vector<FileRecord> files;
     std::vector<AuditRequest> requests;
@@ -335,54 +335,46 @@ std::uint64_t AuditService::run_group(const Now& now,
       requests.push_back(
           scheme.make_request(slot->reg.file, slot->reg.challenge_size));
     }
-    const Nanos t1 = spans != nullptr ? now() : Nanos{0};
+    t1 = spans != nullptr ? now() : Nanos{0};
     const BatchedTranscripts batch = verifier.run_audit_batch(requests);
-    const Nanos t2 = spans != nullptr ? now() : Nanos{0};
-    std::vector<AuditReport> reports = scheme.verify_batch(files, batch);
-    for (std::size_t i = begin; i < end; ++i) {
-      Entry entry;
-      entry.report = std::move(reports[i - begin]);
-      entry.at = now();
-      const AuditReport& recorded =
-          append_entry(*members[i - begin], std::move(entry));
-      if (recorded.accepted) ++passed;
-      if (on_report) on_report(ids[i], recorded);
+    t2 = spans != nullptr ? now() : Nanos{0};
+    reports = scheme.verify_batch(files, batch);
+  } catch (const std::exception&) {
+    // The audit_isolated rule, per group: a scheme/device/channel error
+    // (key exhaustion, sentinel supply, a dead provider) aborts this
+    // group's audits alone and the remaining groups still run.
+    reports.assign(end - begin, AuditReport::aborted());
+    ran = false;
+  }
+  // Record every member exactly once before any hook runs, so a throwing
+  // hook can neither skip a member nor get one recorded twice.
+  std::uint64_t passed = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    Entry entry;
+    entry.report = reports[i - begin];
+    entry.at = now();
+    if (append_entry(*members[i - begin], std::move(entry)).accepted) {
+      ++passed;
     }
-    if (spans != nullptr) {
-      const Nanos t3 = now();
-      obs::Span span;
-      span.id = span_seq_.fetch_add(1, std::memory_order_relaxed);
-      span.kind = "batch";
-      span.ok = passed == end - begin;
-      span.start = t0;
+  }
+  if (spans != nullptr) {
+    const Nanos t3 = now();
+    obs::Span span;
+    span.id = span_seq_.fetch_add(1, std::memory_order_relaxed);
+    span.kind = "batch";
+    span.ok = passed == end - begin;
+    span.start = t0;
+    if (ran) {
       span.set_phase(obs::Phase::kChallenge, t1 - t0);
       span.set_phase(obs::Phase::kExchange, t2 - t1);
       span.set_phase(obs::Phase::kVerify, t3 - t2);
-      span.total = t3 - t0;
-      spans->record(span);
     }
-  } catch (const Error&) {
-    // A scheme/device error (key exhaustion, sentinel supply, transport)
-    // is this group's problem alone: record every member as aborted and
-    // let the remaining groups run — the engine's fault-isolation
-    // convention.
+    span.total = t3 - t0;
+    spans->record(span);
+  }
+  if (on_report) {
     for (std::size_t i = begin; i < end; ++i) {
-      Entry entry;
-      entry.at = now();
-      entry.report.accepted = false;
-      entry.report.failures.push_back(AuditFailure::kAborted);
-      const AuditReport& recorded =
-          append_entry(*members[i - begin], std::move(entry));
-      if (on_report) on_report(ids[i], recorded);
-    }
-    if (spans != nullptr) {
-      obs::Span span;
-      span.id = span_seq_.fetch_add(1, std::memory_order_relaxed);
-      span.kind = "batch";
-      span.ok = false;
-      span.start = t0;
-      span.total = now() - t0;
-      spans->record(span);
+      on_report(ids[i], reports[i - begin]);
     }
   }
   return passed;
@@ -399,19 +391,7 @@ void AuditService::schedule(EventQueue& queue, const SimClock& clock,
                         // scheduling; a stale event must not abort the
                         // queue (and every other registration's audits).
                         if (!has(file_id)) return;
-                        try {
-                          (void)run_once(clock, file_id);
-                        } catch (const Error&) {
-                          // A scheme/device error (sentinel or signing-key
-                          // exhaustion) is this registration's problem
-                          // alone: record it as a failed audit and keep
-                          // the queue — and the other registrations —
-                          // running.
-                          AuditReport aborted;
-                          aborted.accepted = false;
-                          aborted.failures.push_back(AuditFailure::kAborted);
-                          record(file_id, clock.now(), std::move(aborted));
-                        }
+                        record(file_id, clock.now(), audit_isolated(file_id));
                       });
   }
 }

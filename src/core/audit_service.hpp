@@ -15,8 +15,8 @@
 //
 // Registrations live in a contiguous arena: a dense slot vector plus an
 // id -> slot hash index, so lookups are O(1) and a slot's address is stable
-// while the registry is unmutated (the engine's in-flight sessions hold
-// slot references across a sweep; add() may grow the arena, which the
+// while the registry is unmutated (run_group holds slot references across
+// a group; add() may grow the arena, which the
 // no-mutation-during-audits contract already serialises against audits).
 // Removed slots go on a free list and are
 // reused; slot_of() exposes the dense handle so a partitioner can balance
@@ -29,12 +29,14 @@
 // Options::history_limit turns each registration's history into a bounded
 // ring while the counters stay exact.
 //
-// Concurrency contract: run_once / run_batch / run_group / record may be
-// called concurrently for *distinct* file ids provided (a) the registry is
-// not mutated (add/remove) while audits run, (b) schemes follow the
-// AuditScheme thread-safety contract (scheme.hpp), and (c) a
+// Concurrency contract: run_once / audit_isolated / run_batch / run_group /
+// record may be called concurrently for *distinct* file ids provided (a)
+// the registry is not mutated (add/remove) while audits run, (b) schemes
+// follow the AuditScheme thread-safety contract (scheme.hpp), and (c) a
 // VerifierDevice shared by concurrently-audited registrations is
-// externally serialised. core::ShardedAuditEngine enforces all three.
+// externally serialised. Every call returns with its audits complete and
+// recorded — no audit outlives the call that started it. The sharded
+// engine enforces all three.
 // compliance() and compliance(file_id) are safe from any thread at any
 // time; history() reads require quiescence, like mutation.
 #pragma once
@@ -133,19 +135,18 @@ class AuditService {
 
   /// Run one audit of `file_id` immediately; records and returns the report.
   /// A thin adapter over the async session path (AuditScheme::audit_once).
+  /// Scheme/device errors propagate to the caller, recording nothing.
   const AuditReport& run_once(const SimClock& clock, std::uint64_t file_id);
   const AuditReport& run_once(const Now& now, std::uint64_t file_id);
 
-  /// Start one audit of `file_id` as an asynchronous session on the
-  /// registration's device channel: returns once the session is in flight;
-  /// the report is recorded into history and handed to `done` (optional)
-  /// when the session completes on the pumping thread. Challenge-planning
-  /// errors throw synchronously, exactly like run_once; a mid-session
-  /// transport failure records kAborted. The no-mutation-during-audits
-  /// contract above extends until every in-flight session has completed.
-  using Completion = std::function<void(const AuditReport&)>;
-  void begin_once(const Now& now, std::uint64_t file_id,
-                  Completion done = {});
+  /// The fault-isolation rule every sweep path applies (schedule, the
+  /// sharded engine, run_group per group): the scheme, device and channel
+  /// work of one audit of `file_id` runs inside the isolation, and any
+  /// exception it throws becomes AuditReport::aborted(). Records nothing
+  /// and calls no hook — the caller records the result exactly once and
+  /// runs its hooks outside the isolation, so a hook's exception reaches
+  /// the caller instead of posing as an aborted audit.
+  AuditReport audit_isolated(std::uint64_t file_id);
   /// Audit every registration once; returns how many passed.
   std::uint64_t run_all(const SimClock& clock);
 
@@ -157,9 +158,11 @@ class AuditService {
   /// hot path, since WOTS chain hashing dominates a single MAC audit.
   /// Every audit still runs its own timed rounds and is recorded into
   /// history exactly as run_once would. A scheme/device error aborts only
-  /// the failing group (recorded as kAborted entries, mirroring the
-  /// engine's fault isolation); later groups still run. `on_report`, when
-  /// given, sees every recorded report. Returns how many audits passed.
+  /// the failing group (recorded as kAborted entries — the audit_isolated
+  /// rule, applied per group); later groups still run. `on_report`, when
+  /// given, sees every recorded report, called once a group's members are
+  /// all recorded; an exception it throws propagates to the caller. Returns
+  /// how many audits passed.
   using BatchReportHook =
       std::function<void(std::uint64_t file_id, const AuditReport& report)>;
   std::uint64_t run_batch(const Now& now,
@@ -184,8 +187,7 @@ class AuditService {
                           const BatchReportHook& on_report = {});
 
   /// Append an externally-judged entry to `file_id`'s history — how the
-  /// sharded engine records kAborted results for audits whose scheme or
-  /// device threw, without losing the other shards' progress.
+  /// sharded engine records the audit_isolated result of each audit.
   void record(std::uint64_t file_id, Nanos at, AuditReport report);
 
   /// Schedule `count` audits of `file_id` on `queue`, one every `interval`,

@@ -24,6 +24,12 @@ std::string to_string(AuditFailure f) {
   return "unknown";
 }
 
+AuditReport AuditReport::aborted() {
+  AuditReport report;
+  report.failures.push_back(AuditFailure::kAborted);
+  return report;
+}
+
 bool AuditReport::failed(AuditFailure f) const {
   return std::find(failures.begin(), failures.end(), f) != failures.end();
 }
@@ -144,10 +150,7 @@ void AuditScheme::begin_audit(const FileRecord& file, std::uint32_t k,
         if (!outcome.ok()) {
           // The session died on the wire: no transcript to judge. Mirror
           // the service/engine convention for audits that could not run.
-          AuditReport report;
-          report.accepted = false;
-          report.failures.push_back(AuditFailure::kAborted);
-          done(std::move(report));
+          done(AuditReport::aborted());
           return;
         }
         AuditReport report;
@@ -156,9 +159,7 @@ void AuditScheme::begin_audit(const FileRecord& file, std::uint32_t k,
         } catch (const std::exception&) {
           // A scheme fault inside a channel completion must surface as a
           // report, not as an exception unwinding through the driver pump.
-          report = AuditReport{};
-          report.accepted = false;
-          report.failures.push_back(AuditFailure::kAborted);
+          report = AuditReport::aborted();
         }
         done(std::move(report));
       });

@@ -59,6 +59,10 @@ struct AuditReport {
   /// Audit traffic on the timed link (§IV: small, file-size independent).
   std::uint64_t bytes_exchanged = 0;
 
+  /// The one shape of an audit that could not run: rejected, failing
+  /// kAborted only. Every fault-isolation path records this.
+  static AuditReport aborted();
+
   bool failed(AuditFailure f) const;
   std::string summary() const;
 };

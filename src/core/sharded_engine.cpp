@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -71,20 +70,6 @@ ShardedAuditEngine::ShardedAuditEngine(AuditService& service, Options options)
   if (options_.batch_size == 0) {
     throw InvalidArgument("ShardedAuditEngine: batch_size must be >= 1");
   }
-  if (options_.driver_source) {
-    if (options_.max_in_flight == 0) {
-      throw InvalidArgument("ShardedAuditEngine: max_in_flight must be >= 1");
-    }
-    drivers_.reserve(options_.shards);
-    for (std::size_t s = 0; s < options_.shards; ++s) {
-      net::AsyncDriver* driver = options_.driver_source(s);
-      if (driver == nullptr) {
-        throw InvalidArgument("ShardedAuditEngine: driver_source returned "
-                              "a null driver");
-      }
-      drivers_.push_back(driver);
-    }
-  }
   if (!options_.partitioner) {
     options_.partitioner = [](std::uint64_t file_id, std::size_t shards) {
       return static_cast<std::size_t>(file_id % shards);
@@ -125,7 +110,7 @@ ShardedAuditEngine::ShardedAuditEngine(AuditService& service, Options options)
         "registrations still queued in the current sweep");
     audit_latency_ = &metrics_->histogram(
         "geoproof_engine_audit_seconds", {},
-        "per-audit latency on the shard's own clock (blocking mode)");
+        "per-audit latency of unbatched sweeps on the shard's own clock");
     sweep_latency_ = &metrics_->histogram(
         "geoproof_engine_sweep_seconds", {},
         "whole-sweep latency on shard 0's clock");
@@ -171,23 +156,6 @@ void ShardedAuditEngine::refresh_verifier_mutexes() {
   verifier_mu_.swap(fresh);
 }
 
-void ShardedAuditEngine::validate_async_colocation() const {
-  // A device's sessions all run as callbacks on the shard pumping its
-  // channel; a device reachable from two shards would have its one-time
-  // signer driven from two threads with no lock to save it. Fail fast.
-  std::map<const VerifierDevice*, std::size_t> home;
-  for (const std::uint64_t id : service_->file_ids()) {
-    const VerifierDevice* device = service_->registration(id).verifier;
-    const std::size_t shard = shard_of(id);
-    const auto [it, inserted] = home.emplace(device, shard);
-    if (!inserted && it->second != shard) {
-      throw InvalidArgument(
-          "ShardedAuditEngine: async mode requires each VerifierDevice's "
-          "registrations to be partitioned onto one shard");
-    }
-  }
-}
-
 void ShardedAuditEngine::count_result(
     std::size_t shard, std::uint64_t file_id, const AuditReport& report,
     std::atomic<std::uint64_t>& sweep_passed) {
@@ -206,16 +174,6 @@ void ShardedAuditEngine::count_result(
   if (options_.report_hook) options_.report_hook(file_id, report, shard);
 }
 
-void ShardedAuditEngine::record_aborted(
-    std::uint64_t file_id, std::size_t shard,
-    std::atomic<std::uint64_t>& sweep_passed) {
-  AuditReport aborted;
-  aborted.accepted = false;
-  aborted.failures.push_back(AuditFailure::kAborted);
-  count_result(shard, file_id, aborted, sweep_passed);
-  service_->record(file_id, clocks_[shard](), std::move(aborted));
-}
-
 void ShardedAuditEngine::audit_one(
     std::size_t shard, std::uint64_t file_id,
     std::atomic<std::uint64_t>& sweep_passed) {
@@ -223,24 +181,18 @@ void ShardedAuditEngine::audit_one(
   Mutex& device_mu =
       *verifier_mu_.at(service_->registration(file_id).verifier);
   const Nanos t0 = audit_latency_ != nullptr ? now() : Nanos{0};
-  try {
-    const AuditReport* report = nullptr;
-    {
-      // Serialise the whole audit per device: run_audit consumes one-time
-      // signing keys, and the device's channel/stopwatch advance the
-      // world's clock.
-      MutexLock lock(device_mu);
-      report = &service_->run_once(now, file_id);
-    }
-    if (audit_latency_ != nullptr) audit_latency_->record(now() - t0);
-    count_result(shard, file_id, *report, sweep_passed);
-  } catch (const std::exception&) {
-    // Fault isolation: a scheme/device error (sentinel or signing-key
-    // exhaustion) is this registration's problem alone — record it and
-    // keep every other shard's work flowing. Mirrors the scheduled-audit
-    // path in AuditService::schedule.
-    record_aborted(file_id, shard, sweep_passed);
+  AuditReport report;
+  {
+    // Serialise the whole audit per device: run_audit consumes one-time
+    // signing keys, and the device's channel/stopwatch advance the
+    // world's clock. A scheme/device fault becomes this registration's
+    // kAborted entry; every other shard's work keeps flowing.
+    MutexLock lock(device_mu);
+    report = service_->audit_isolated(file_id);
   }
+  if (audit_latency_ != nullptr) audit_latency_->record(now() - t0);
+  service_->record(file_id, now(), report);
+  count_result(shard, file_id, report, sweep_passed);
 }
 
 void ShardedAuditEngine::audit_run(std::size_t shard,
@@ -254,7 +206,8 @@ void ShardedAuditEngine::audit_run(std::size_t shard,
   // Walk the run group by group (the service owns the grouping rule):
   // each group consumes one signing key, and the device mutex need only be
   // held for the group actually using that device. Scheme/device faults
-  // are isolated inside run_group (kAborted records reach the hook).
+  // are isolated inside run_group (kAborted records reach the hook); a
+  // throwing report_hook propagates out of the sweep.
   for (std::size_t begin = 0; begin < run.size();) {
     const std::size_t end = service_->group_end(run, begin);
     Mutex& device_mu =
@@ -305,77 +258,6 @@ void ShardedAuditEngine::worker(std::size_t shard,
       }
     }
     if (!stole) return;
-  }
-}
-
-void ShardedAuditEngine::worker_async(
-    std::size_t shard, std::vector<ShardQueue>& queues,
-    std::atomic<std::uint64_t>& sweep_passed) {
-  // The shard holds up to max_in_flight audit sessions open at once and
-  // pumps its driver between starts; sessions advance one challenge round
-  // per completion, all on this thread. No stealing: this shard's
-  // channels belong to this shard's driver.
-  net::AsyncDriver& driver = *drivers_[shard];
-  const ShardClock& now = clocks_[shard];
-
-  std::deque<std::uint64_t> waiting;  // device busy; retried each cycle
-  std::set<const VerifierDevice*> busy;
-  std::size_t in_flight = 0;
-  bool home_empty = false;
-
-  const auto try_begin = [&](std::uint64_t file_id) {
-    const VerifierDevice* device =
-        service_->registration(file_id).verifier;
-    if (busy.count(device) != 0) {
-      // One session per device at a time: its signer consumes one-time
-      // keys and its stopwatch must time one exchange, not two.
-      waiting.push_back(file_id);
-      return;
-    }
-    busy.insert(device);
-    ++in_flight;
-    try {
-      service_->begin_once(
-          now, file_id,
-          [&, device, file_id](const AuditReport& report) {
-            busy.erase(device);
-            --in_flight;
-            count_result(shard, file_id, report, sweep_passed);
-          });
-    } catch (const std::exception&) {
-      // Challenge planning failed (sentinel/signing-key exhaustion):
-      // same fault isolation as the blocking path.
-      busy.erase(device);
-      --in_flight;
-      record_aborted(file_id, shard, sweep_passed);
-    }
-  };
-
-  for (;;) {
-    // Retry deferred registrations whose device may have freed up, then
-    // top up from the home queue.
-    std::size_t retries = waiting.size();
-    while (retries-- > 0 && in_flight < options_.max_in_flight) {
-      const std::uint64_t id = waiting.front();
-      waiting.pop_front();
-      try_begin(id);  // may re-defer
-    }
-    while (!home_empty && in_flight < options_.max_in_flight) {
-      if (const auto id = queues[shard].pop_front()) {
-        try_begin(*id);
-      } else {
-        home_empty = true;
-      }
-    }
-    if (in_flight == 0 && waiting.empty() && home_empty) return;
-    if (in_flight > 0 && driver.pump() == 0 && driver.idle()) {
-      // The driver has nothing scheduled yet sessions are incomplete:
-      // the shard's channels are not pumped by this driver (mis-wired
-      // driver_source/partitioner). Fail loudly instead of spinning.
-      throw InvalidArgument(
-          "ShardedAuditEngine: shard driver went idle with sessions in "
-          "flight (are the shard's channels pumped by this driver?)");
-    }
   }
 }
 
@@ -452,11 +334,7 @@ void ShardedAuditEngine::run_on_shards(
 }
 
 std::uint64_t ShardedAuditEngine::sweep_once() {
-  if (async_mode()) {
-    validate_async_colocation();
-  } else {
-    refresh_verifier_mutexes();
-  }
+  refresh_verifier_mutexes();
   const std::vector<std::vector<std::uint64_t>> plan = shard_plan();
   std::vector<ShardQueue> queues(options_.shards);
   std::size_t planned = 0;
@@ -472,11 +350,7 @@ std::uint64_t ShardedAuditEngine::sweep_once() {
 
   std::atomic<std::uint64_t> sweep_passed{0};
   dispatch_to_shards([this, &queues, &sweep_passed](std::size_t s) {
-    if (async_mode()) {
-      worker_async(s, queues, sweep_passed);
-    } else {
-      worker(s, queues, sweep_passed);
-    }
+    worker(s, queues, sweep_passed);
   });
   sweeps_.fetch_add(1, std::memory_order_relaxed);
   if (sweep_latency_ != nullptr) {

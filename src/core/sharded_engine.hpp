@@ -23,16 +23,14 @@
 // *correct* across shards (see the AuditScheme thread-safety contract)
 // but may interleave nonce/challenge draws.
 //
-// ## Async transport mode
+// ## Fault isolation
 //
-// With Options::driver_source set, each shard pumps its own
-// net::AsyncDriver (an EventLoop over sockets, a SimAsyncDriver over a
-// virtual world) and holds up to max_in_flight audit sessions open at
-// once, interleaved on the shard thread via AuditService::begin_once —
-// one shard drives dozens of distance-bounding sessions instead of
-// parking on one round trip. Work stealing is disabled in this mode: a
-// registration's channel belongs to its home shard's driver, and running
-// it from a thief's thread would pump one world from two threads.
+// Every audit runs under AuditService's one fault-isolation rule: an
+// exception from the scheme, device or channel is recorded as that
+// registration's kAborted entry (its whole batch group's, when batched)
+// and the sweep carries on. Recording and the report_hook run outside the
+// isolation, so each audit is recorded exactly once and a throwing hook
+// propagates out of sweep_once.
 //
 // ## What the caller must uphold
 //
@@ -41,14 +39,9 @@
 //    SimClock, one SimRequestChannel) must be co-located on one shard by
 //    the injected partitioner AND run with work_stealing off — otherwise
 //    concurrent audits (a foreign shard's, or a thief's) would charge
-//    latency to each other's stopwatches. In async mode the same applies
-//    to the driver: every registration the partitioner maps to shard s
-//    must have its channel pumped by driver_source(s)'s driver;
-//  - sharing a VerifierDevice across shards is fine in blocking mode: the
-//    engine serialises run_audit per device (one-time signing keys must
-//    not race). In async mode a device's sessions must all live on one
-//    shard (the engine checks and throws otherwise); within a shard the
-//    engine keeps at most one session per device in flight.
+//    latency to each other's stopwatches;
+//  - sharing a VerifierDevice across shards is fine: the engine serialises
+//    run_audit per device (one-time signing keys must not race).
 #pragma once
 
 #include <atomic>
@@ -64,7 +57,6 @@
 
 #include "common/thread_annotations.hpp"
 #include "core/audit_service.hpp"
-#include "net/async.hpp"
 #include "obs/fields.hpp"
 
 namespace geoproof::obs {
@@ -99,27 +91,21 @@ class ShardedAuditEngine {
     /// Idle workers steal queued work from the back of busy shards. A
     /// stolen registration runs on the thief's thread, so disable this
     /// whenever the partitioner co-locates registrations that share a
-    /// simulated world — stealing would undo that co-location. Ignored
-    /// (always off) in async mode.
+    /// simulated world — stealing would undo that co-location.
     bool work_stealing = true;
-    /// Async transport mode: shard index -> the driver pumping that
-    /// shard's channels. Null (default) = blocking mode. The driver must
-    /// outlive the engine's sweeps; one driver serves one shard.
-    std::function<net::AsyncDriver*(std::size_t shard)> driver_source;
-    /// Per-shard cap on concurrently open audit sessions (async mode).
-    std::size_t max_in_flight = 16;
-    /// Blocking-mode run granularity: each worker drains its home queue in
+    /// Run granularity: each worker drains its home queue in
     /// runs of up to batch_size registrations and audits each
     /// AuditService::group_end group through AuditService::run_group —
     /// one device signature and one TPA
     /// signature check per group instead of per audit. 1 (default)
     /// preserves the historical one-signature-per-audit behaviour bit for
     /// bit. Stolen work always runs singly (a thief holds a foreign
-    /// device's mutex as briefly as possible); ignored in async mode.
+    /// device's mutex as briefly as possible).
     std::size_t batch_size = 1;
     /// Sweep-output tap: called once per completed audit — including
-    /// engine-recorded kAborted entries — from the shard worker (or
-    /// thief) that ran it, before the sweep returns. This is how a
+    /// kAborted entries — from the shard worker (or thief) that ran it,
+    /// after the audit is recorded and before the sweep returns. An
+    /// exception it throws propagates out of sweep_once. This is how a
     /// streaming consumer (track::TrackService) subscribes to sweep
     /// output without polling histories. Called concurrently from many
     /// worker threads: the callee must be thread-safe, and fast — it sits
@@ -130,9 +116,10 @@ class ShardedAuditEngine {
     /// Observability registry (not owned; must outlive the engine). When
     /// set, the engine registers a stats snapshot plus a queued-work gauge
     /// (geoproof_engine_queue_depth), a per-audit latency histogram
-    /// (geoproof_engine_audit_seconds, blocking mode, timed on the shard's
-    /// own clock) and a per-sweep histogram (geoproof_engine_sweep_seconds)
-    /// — and deregisters the snapshot on destruction. Null = no metrics.
+    /// (geoproof_engine_audit_seconds, unbatched sweeps, timed on the
+    /// shard's own clock) and a per-sweep histogram
+    /// (geoproof_engine_sweep_seconds) — and deregisters the snapshot on
+    /// destruction. Null = no metrics.
     obs::Registry* metrics = nullptr;
   };
 
@@ -176,8 +163,9 @@ class ShardedAuditEngine {
   std::vector<std::vector<std::uint64_t>> shard_plan() const;
 
   /// Audit every registration exactly once, fanned across the shards;
-  /// blocks until the sweep completes. A scheme/device error aborts only
-  /// that registration (recorded as kAborted) — other shards keep running.
+  /// blocks until the sweep completes. A scheme/device/channel error
+  /// aborts only that registration (recorded as kAborted) — other shards
+  /// keep running.
   /// Returns the number of audits that passed.
   ///
   /// Shard 0 always runs on the caller, so 1-shard sweeps are thread-free
@@ -211,8 +199,6 @@ class ShardedAuditEngine {
   /// One line: shards, audits, pass rate, aborts, steals, sweeps.
   std::string summary() const;
 
-  bool async_mode() const { return !drivers_.empty(); }
-
  private:
   struct ShardQueue;
 
@@ -223,11 +209,10 @@ class ShardedAuditEngine {
   void ensure_pool();
   void pool_worker(std::size_t shard);
   void refresh_verifier_mutexes();
-  void validate_async_colocation() const;
   void worker(std::size_t shard, std::vector<ShardQueue>& queues,
               std::atomic<std::uint64_t>& sweep_passed);
-  void worker_async(std::size_t shard, std::vector<ShardQueue>& queues,
-                    std::atomic<std::uint64_t>& sweep_passed);
+  /// Audit one registration under the service's fault-isolation rule
+  /// (AuditService::audit_isolated), then record and count it.
   void audit_one(std::size_t shard, std::uint64_t file_id,
                  std::atomic<std::uint64_t>& sweep_passed);
   /// Audit a run of registrations popped together (batch_size > 1): the
@@ -241,14 +226,9 @@ class ShardedAuditEngine {
   void count_result(std::size_t shard, std::uint64_t file_id,
                     const AuditReport& report,
                     std::atomic<std::uint64_t>& sweep_passed);
-  /// Record and count a kAborted entry for `file_id` (fault isolation:
-  /// the one place the aborted-report shape is built).
-  void record_aborted(std::uint64_t file_id, std::size_t shard,
-                      std::atomic<std::uint64_t>& sweep_passed);
 
   AuditService* service_;
   Options options_;
-  std::vector<net::AsyncDriver*> drivers_;  // async mode: one per shard
   std::vector<ShardClock> clocks_;
   /// Per shard: the other shards in this worker's steal order (seeded
   /// shuffle, fixed for the engine's lifetime).

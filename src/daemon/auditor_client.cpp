@@ -1,7 +1,6 @@
 #include "daemon/auditor_client.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/errors.hpp"
@@ -25,10 +24,31 @@ locate::DelayModel calibrate_model(const AuditorConfig& config) {
   return locate::DelayModel::fit(points);
 }
 
+locate::VantageObservation observation_of(const SampleReport& report) {
+  std::vector<Millis> samples;
+  samples.reserve(report.rtt_ms.size());
+  for (const double ms : report.rtt_ms) samples.push_back(Millis{ms});
+  locate::VantageObservation obs;
+  obs.vantage = geoloc::Landmark{
+      report.vantage_name,
+      net::GeoPoint{report.latitude_deg, report.longitude_deg}};
+  obs.stats = locate::SampleStats::of(samples);
+  obs.reported_rtt = locate::min_filtered(samples);
+  obs.timing_violations = report.timing_violations;
+  obs.completed = !samples.empty();
+  return obs;
+}
+
 AuditorClient::AuditorClient(AuditorConfig config)
     : config_(std::move(config)) {}
 
 FleetReport AuditorClient::run() {
+  FleetReport fleet = measure();
+  estimate(fleet);
+  return fleet;
+}
+
+FleetReport AuditorClient::measure() {
   if (config_.vantages.empty()) {
     throw InvalidArgument("AuditorClient: no vantages");
   }
@@ -129,13 +149,7 @@ FleetReport AuditorClient::run() {
   }
   channels.clear();  // loop-thread-only teardown, before the loop dies
 
-  const locate::DelayModel model = calibrate_model(config_);
-  fleet.calibration = model.fit_stats();
-
-  std::vector<locate::VantageRange> ranges;
-  std::vector<std::size_t> range_owner;  // ranges index -> outcomes index
-  for (std::size_t i = 0; i < fleet.outcomes.size(); ++i) {
-    VantageOutcome& outcome = fleet.outcomes[i];
+  for (VantageOutcome& outcome : fleet.outcomes) {
     if (!outcome.responded) continue;
     ++fleet.responded;
     if (!outcome.report.completed) {
@@ -143,41 +157,34 @@ FleetReport AuditorClient::run() {
       continue;
     }
     ++fleet.completed;
-
-    std::vector<Millis> samples;
-    samples.reserve(outcome.report.rtt_ms.size());
-    for (const double ms : outcome.report.rtt_ms) samples.push_back(Millis{ms});
-    const auto stats = locate::SampleStats::of(samples);
-    const Millis reported = locate::min_filtered(samples);
-
     if (config_.metrics != nullptr) {
       // Per-vantage RTT distribution: the samples the vantage measured,
       // keyed by its self-reported name (stable across sweeps).
       obs::Histogram& rtts = config_.metrics->histogram(
           "geoproof_vantage_rtt_seconds",
           {{"vantage", outcome.report.vantage_name}});
-      for (const Millis sample : samples) rtts.record(to_nanos(sample));
+      for (const double ms : outcome.report.rtt_ms) {
+        rtts.record(to_nanos(Millis{ms}));
+      }
     }
+  }
+  return fleet;
+}
 
-    outcome.distance = model.distance_for_rtt(reported);
-    // Same uncertainty floor the simulated fleet uses: calibration
-    // residual vs observed spread (shrunk by best-of-k), never under 5 km.
-    const double spread_km =
-        model
-            .spread_to_distance(Millis{
-                stats.stddev_ms / std::sqrt(static_cast<double>(
-                                      std::max<std::size_t>(stats.count, 1)))})
-            .value;
-    outcome.sigma = Kilometers{
-        std::max({model.distance_sigma().value, spread_km, 5.0})};
+void AuditorClient::estimate(FleetReport& fleet) const {
+  const locate::DelayModel model = calibrate_model(config_);
+  fleet.calibration = model.fit_stats();
 
-    locate::VantageRange range;
-    range.vantage = geoloc::Landmark{
-        outcome.report.vantage_name,
-        net::GeoPoint{outcome.report.latitude_deg,
-                      outcome.report.longitude_deg}};
-    range.distance = outcome.distance;
-    range.sigma = outcome.sigma;
+  std::vector<locate::VantageRange> ranges;
+  std::vector<std::size_t> range_owner;  // ranges index -> outcomes index
+  for (std::size_t i = 0; i < fleet.outcomes.size(); ++i) {
+    VantageOutcome& outcome = fleet.outcomes[i];
+    if (!outcome.responded || !outcome.report.completed) continue;
+    const locate::VantageObservation obs = observation_of(outcome.report);
+    const locate::VantageRange range =
+        model.range_for(obs.vantage, obs.reported_rtt, obs.stats);
+    outcome.distance = range.distance;
+    outcome.sigma = range.sigma;
     ranges.push_back(range);
     range_owner.push_back(i);
   }
@@ -200,7 +207,6 @@ FleetReport AuditorClient::run() {
     log::warn("audit", "too few completed sweeps for a fix",
               {{"completed", static_cast<std::uint64_t>(fleet.completed)}});
   }
-  return fleet;
 }
 
 std::string to_json(const AuditorConfig& config, const FleetReport& report) {

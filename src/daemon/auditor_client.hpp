@@ -93,15 +93,33 @@ std::string to_json(const AuditorConfig& config, const FleetReport& report);
 /// the one-shot client and the streaming tracker.
 locate::DelayModel calibrate_model(const AuditorConfig& config);
 
+/// A SampleReport as a locate observation: the vantage's self-reported
+/// position, the statistics of its samples and the min-filtered delay it
+/// reports. The one conversion the one-shot fix and the streaming tracker
+/// share.
+locate::VantageObservation observation_of(const SampleReport& report);
+
 class AuditorClient {
  public:
   explicit AuditorClient(AuditorConfig config);
 
   const AuditorConfig& config() const { return config_; }
 
-  /// Run the audit to completion on the calling thread (it pumps the
-  /// loop). Throws InvalidArgument on an empty fleet or zero segments.
+  /// Run the audit to completion on the calling thread: measure(), then
+  /// estimate(). Throws InvalidArgument on an empty fleet or zero segments.
   FleetReport run();
+
+  /// The fan-out step: every vantage's MeasureRequest in flight at once
+  /// on one EventLoop pumped by the calling thread. Fills each outcome,
+  /// the responded / completed tallies and the per-vantage RTT histograms;
+  /// calibrates and solves nothing. The streaming tracker stops here and
+  /// feeds the outcomes to its own windowed track.
+  FleetReport measure();
+
+  /// The estimation step: calibrate, range every completed outcome
+  /// (DelayModel::range_for over observation_of) and, with at least three
+  /// ranges, solve for the fix.
+  void estimate(FleetReport& fleet) const;
 
  private:
   AuditorConfig config_;

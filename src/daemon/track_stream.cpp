@@ -115,26 +115,14 @@ TrackStreamResult TrackStreamer::run(
     // re-measure the prover's cache, not the path.
     sweep_config.probe_seed =
         config_.auditor.probe_seed + 0x517cc1b727220a95ULL * sweep;
+    // Fan-out only: the track's windowed re-solve is this sweep's fix, so
+    // the one-shot estimation step would be solved and thrown away.
     AuditorClient client(std::move(sweep_config));
-    const FleetReport fleet = client.run();
+    const FleetReport fleet = client.measure();
 
     for (const VantageOutcome& outcome : fleet.outcomes) {
       if (!outcome.responded || !outcome.report.completed) continue;
-      std::vector<Millis> samples;
-      samples.reserve(outcome.report.rtt_ms.size());
-      for (const double ms : outcome.report.rtt_ms) {
-        samples.push_back(Millis{ms});
-      }
-      locate::VantageObservation obs;
-      obs.vantage = geoloc::Landmark{
-          outcome.report.vantage_name,
-          net::GeoPoint{outcome.report.latitude_deg,
-                        outcome.report.longitude_deg}};
-      obs.stats = locate::SampleStats::of(samples);
-      obs.reported_rtt = locate::min_filtered(samples);
-      obs.timing_violations = outcome.report.timing_violations;
-      obs.completed = !samples.empty();
-      service.record(provider, obs);
+      service.record(provider, observation_of(outcome.report));
     }
 
     const std::vector<track::TrackService::ProviderAlarm> raised =

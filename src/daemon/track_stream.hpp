@@ -1,11 +1,12 @@
 // Streaming tracking mode for the auditor CLI: repeated fleet sweeps fed
 // through a track::TrackService, one JSON track-update line per sweep.
 //
-// Each sweep is one AuditorClient fan-out (same wire protocol, same
-// estimation code as the one-shot audit); the per-vantage RTT sample sets
-// become locate::VantageObservations and flow into the provider's
-// PositionTrack, whose windowed re-solve and change-point detector turn
-// the sweep stream into fixes, error ellipses, and relocation alarms.
+// Each sweep is one AuditorClient::measure fan-out (same wire protocol as
+// the one-shot audit, no one-shot solve); the per-vantage RTT sample sets
+// become locate::VantageObservations (observation_of) and flow into the
+// provider's PositionTrack, whose windowed re-solve and change-point
+// detector turn the sweep stream into fixes, error ellipses, and
+// relocation alarms.
 // Lines go to the injected sink, so the CLI streams to stdout while tests
 // capture in-process.
 #pragma once

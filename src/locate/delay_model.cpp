@@ -98,4 +98,20 @@ Kilometers DelayModel::spread_to_distance(Millis rtt_spread) const {
   return distance_covered(Millis{spread / 2.0}, speeds::kLightVacuum);
 }
 
+VantageRange DelayModel::range_for(const geoloc::Landmark& vantage,
+                                   Millis rtt,
+                                   const SampleStats& stats) const {
+  VantageRange range;
+  range.vantage = vantage;
+  range.distance = distance_for_rtt(rtt);
+  const double spread_km =
+      spread_to_distance(Millis{stats.stddev_ms /
+                                std::sqrt(static_cast<double>(
+                                    std::max<std::size_t>(stats.count, 1)))})
+          .value;
+  range.sigma =
+      Kilometers{std::max({distance_sigma().value, spread_km, 5.0})};
+  return range;
+}
+
 }  // namespace geoproof::locate

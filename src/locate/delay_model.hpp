@@ -12,6 +12,9 @@
 #include <span>
 
 #include "common/units.hpp"
+#include "geoloc/schemes.hpp"
+#include "locate/measurement.hpp"
+#include "locate/multilaterate.hpp"
 #include "net/latency.hpp"
 
 namespace geoproof::locate {
@@ -75,6 +78,16 @@ class DelayModel {
   /// distance units through the calibrated slope; falls back to the
   /// physical c/2 conversion when uncalibrated.
   Kilometers spread_to_distance(Millis rtt_spread) const;
+
+  /// The one delay->range recipe every fix is built from (the one-shot
+  /// fleet sweep, the streaming track, the auditor CLI): `vantage` at
+  /// distance_for_rtt(rtt), with a 1-sigma uncertainty of the largest of
+  /// the calibration residual (distance_sigma), the sample spread shrunk
+  /// by the min filter's depth (stats.stddev_ms / sqrt(stats.count),
+  /// through spread_to_distance) and a 5 km floor. The spread is reported
+  /// by the vantage, so the solver treats it as advisory (weight-floored).
+  VantageRange range_for(const geoloc::Landmark& vantage, Millis rtt,
+                         const SampleStats& stats) const;
 
   bool calibrated() const { return fit_.usable(); }
   const DelayFit& fit_stats() const { return fit_; }

@@ -1,7 +1,6 @@
 #include "locate/fleet.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/errors.hpp"
 
@@ -123,22 +122,8 @@ FleetSweep VantageFleet::finish_sweep(FleetSweep sweep) const {
 
   sweep.ranges.reserve(sweep.observations.size());
   for (const VantageObservation& obs : sweep.observations) {
-    VantageRange range;
-    range.vantage = obs.vantage;
-    range.distance = delay_model_.distance_for_rtt(obs.reported_rtt);
-    // Distance uncertainty: the observed sample spread shrunk by the
-    // min-filter's depth, floored by the calibration residual. Reported by
-    // the vantage, so the solver treats it as advisory (weight-floored).
-    const double spread_km =
-        delay_model_
-            .spread_to_distance(Millis{obs.stats.stddev_ms /
-                                       std::sqrt(static_cast<double>(
-                                           std::max<std::size_t>(
-                                               obs.stats.count, 1)))})
-            .value;
-    range.sigma = Kilometers{
-        std::max({delay_model_.distance_sigma().value, spread_km, 5.0})};
-    sweep.ranges.push_back(range);
+    sweep.ranges.push_back(
+        delay_model_.range_for(obs.vantage, obs.reported_rtt, obs.stats));
     sweep.virtual_elapsed = std::max(sweep.virtual_elapsed, obs.probe_elapsed);
   }
 

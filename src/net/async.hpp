@@ -115,8 +115,7 @@ class AsyncChannel {
 
 /// Pumps completions for one world of async channels: the epoll EventLoop
 /// for real sockets, SimAsyncDriver for the virtual-latency model. One
-/// driver is pumped by exactly one thread at a time (the sharded audit
-/// engine gives each shard its own).
+/// driver is pumped by exactly one thread at a time.
 class AsyncDriver {
  public:
   virtual ~AsyncDriver() = default;

@@ -1,7 +1,6 @@
 #include "track/position_track.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -54,23 +53,8 @@ std::optional<RelocationAlarm> PositionTrack::commit_sweep(
   ranges.reserve(vantages_.size());
   for (const auto& [name, state] : vantages_) {
     if (state.window.empty()) continue;
-    locate::VantageRange range;
-    range.vantage = state.vantage;
-    range.distance = model_.distance_for_rtt(state.window.min());
-    // Same uncertainty recipe as the one-shot fleet sweep: the window's
-    // sample spread shrunk by its depth, floored by the calibration
-    // residual and a 5 km physical floor.
-    const locate::SampleStats stats = state.window.stats();
-    const double spread_km =
-        model_
-            .spread_to_distance(Millis{
-                stats.stddev_ms /
-                std::sqrt(static_cast<double>(
-                    std::max<std::size_t>(stats.count, 1)))})
-            .value;
-    range.sigma = Kilometers{
-        std::max({model_.distance_sigma().value, spread_km, 5.0})};
-    ranges.push_back(range);
+    ranges.push_back(model_.range_for(state.vantage, state.window.min(),
+                                      state.window.stats()));
   }
   if (ranges.size() < options_.min_vantages) return std::nullopt;
 

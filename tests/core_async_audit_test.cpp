@@ -1,17 +1,16 @@
-// The async audit path end to end: VerifierDevice session state machine,
-// AuditScheme::begin_audit, AuditService::begin_once and the sharded
-// engine's async-transport mode — all on the deterministic virtual-time
+// The async audit path end to end: the VerifierDevice session state
+// machine and AuditScheme::begin_audit, on the deterministic virtual-time
 // world, including the session-overlap acceptance property (K concurrent
 // sessions cost ~one session of virtual time, not K of them).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/transcript.hpp"
 #include "core/verifier.hpp"
 #include "net/async.hpp"
@@ -291,35 +290,10 @@ TEST(AsyncVerifier, RunAuditWithoutDriverThrows) {
       ProtocolError);
 }
 
-// --------------------------------------------------------------------------
-// AuditService::begin_once
-// --------------------------------------------------------------------------
-
-TEST(AsyncAuditService, BeginOnceRecordsHistoryOnCompletion) {
-  SimClock clock;
-  EventQueue queue(clock);
-  net::SimAsyncDriver driver(queue);
-  auto site = make_async_site(clock, queue, &driver, 9);
-  MacAuditScheme scheme(base_config(site->verifier->public_key()),
-                        small_params());
-  AuditService service;
-  service.add(scheme, *site->verifier, site->record, kChallenge);
-
-  const AuditService::Now now = [&clock] { return clock.now(); };
-  bool completed = false;
-  service.begin_once(now, 9, [&](const AuditReport& report) {
-    completed = true;
-    EXPECT_TRUE(report.accepted) << report.summary();
-  });
-  EXPECT_FALSE(completed);
-  EXPECT_TRUE(service.history(9).empty());
-  driver.pump();
-  EXPECT_TRUE(completed);
-  ASSERT_EQ(service.history(9).size(), 1u);
-  EXPECT_EQ(service.history(9)[0].at, clock.now());
-}
-
-TEST(AsyncAuditService, MidSessionFailureRecordsAborted) {
+TEST(AsyncScheme, MidSessionFailureReportsAborted) {
+  // The provider dies after the session started: the device delivers a
+  // failed outcome (no transcript to judge), which begin_audit turns into
+  // a kAborted report on the pumping thread instead of an exception.
   SimClock clock;
   EventQueue queue(clock);
   net::SimAsyncDriver driver(queue);
@@ -330,189 +304,17 @@ TEST(AsyncAuditService, MidSessionFailureRecordsAborted) {
   VerifierDevice device(VerifierDevice::Config{.position = kSite}, channel,
                         timer, &driver);
   MacAuditScheme scheme(base_config(device.public_key()), small_params());
-  AuditService service;
   const FileRecord record{3, 64, 0};
-  service.add(scheme, device, record, kChallenge);
 
-  service.begin_once([&clock] { return clock.now(); }, 3);
+  std::optional<AuditReport> report;
+  scheme.begin_audit(record, kChallenge, device,
+                     [&](AuditReport&& r) { report = std::move(r); });
+  EXPECT_FALSE(report.has_value());  // in flight until pumped
   driver.pump();
-  ASSERT_EQ(service.history(3).size(), 1u);
-  const AuditReport& report = service.history(3)[0].report;
-  EXPECT_FALSE(report.accepted);
-  EXPECT_TRUE(report.failed(AuditFailure::kAborted));
-}
-
-// --------------------------------------------------------------------------
-// ShardedAuditEngine async-transport mode
-// --------------------------------------------------------------------------
-
-/// One shard's virtual world: clock, event queue, driver.
-struct Region {
-  SimClock clock;
-  EventQueue queue{clock};
-  net::SimAsyncDriver driver{queue};
-};
-
-struct AsyncFleet {
-  static constexpr std::uint64_t kSites = 8;
-  std::vector<std::unique_ptr<Region>> regions;
-  std::vector<std::unique_ptr<AsyncSite>> sites;
-  std::unique_ptr<MacAuditScheme> scheme;
-  AuditService service;
-
-  explicit AsyncFleet(std::size_t n_regions) {
-    for (std::size_t r = 0; r < n_regions; ++r) {
-      regions.push_back(std::make_unique<Region>());
-    }
-    for (std::uint64_t id = 1; id <= kSites; ++id) {
-      Region& region = *regions[region_of(id, n_regions)];
-      sites.push_back(make_async_site(region.clock, region.queue,
-                                      &region.driver, id));
-    }
-    scheme = std::make_unique<MacAuditScheme>(
-        base_config(sites[0]->verifier->public_key()), small_params());
-    for (auto& site : sites) {
-      service.add(*scheme, *site->verifier, site->record, kChallenge);
-    }
-  }
-
-  static std::size_t region_of(std::uint64_t id, std::size_t n_regions) {
-    return static_cast<std::size_t>((id - 1) % n_regions);
-  }
-
-  ShardedAuditEngine::Options options(std::size_t shards) {
-    ShardedAuditEngine::Options opts;
-    opts.shards = shards;
-    opts.partitioner = [shards](std::uint64_t id, std::size_t) {
-      return region_of(id, shards);
-    };
-    opts.clock_source = [this](std::size_t shard) {
-      SimClock* clock = &regions[shard]->clock;
-      return [clock] { return clock->now(); };
-    };
-    opts.driver_source = [this](std::size_t shard) {
-      return &regions[shard]->driver;
-    };
-    return opts;
-  }
-};
-
-TEST(AsyncShardedEngine, SweepOverlapsSessionsWithinEachShard) {
-  // 8 sites, 2 shards, 4 in-flight sessions per shard: each shard's
-  // virtual world elapses ONE session of time per sweep, not four — the
-  // deterministic statement of "one shard drives many in-flight
-  // distance-bounding sessions".
-  AsyncFleet fleet(2);
-  ShardedAuditEngine engine(fleet.service, fleet.options(2));
-  EXPECT_TRUE(engine.async_mode());
-
-  EXPECT_EQ(engine.sweep_once(), AsyncFleet::kSites);
-  const double one_session_ms = kChallenge * 2 * kOneWayMs;
-  for (const auto& region : fleet.regions) {
-    EXPECT_NEAR(to_millis(region->clock.now()).count(), one_session_ms, 1e-9)
-        << "shard serialised its sessions";
-  }
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.audits, AsyncFleet::kSites);
-  EXPECT_EQ(stats.passed, AsyncFleet::kSites);
-  EXPECT_EQ(stats.aborted, 0u);
-  EXPECT_EQ(stats.steals, 0u);  // stealing is off in async mode
-
-  // Sweeps accumulate history exactly like the blocking engine.
-  EXPECT_EQ(engine.sweep_once(), AsyncFleet::kSites);
-  for (std::uint64_t id = 1; id <= AsyncFleet::kSites; ++id) {
-    EXPECT_EQ(fleet.service.history(id).size(), 2u);
-    EXPECT_EQ(fleet.service.compliance(id).passed, 2u);
-  }
-}
-
-TEST(AsyncShardedEngine, MaxInFlightBoundsConcurrency) {
-  // With max_in_flight = 1 the same fleet serialises: each shard's world
-  // now pays all four sessions end to end.
-  AsyncFleet fleet(2);
-  auto opts = fleet.options(2);
-  opts.max_in_flight = 1;
-  ShardedAuditEngine engine(fleet.service, opts);
-  EXPECT_EQ(engine.sweep_once(), AsyncFleet::kSites);
-  const double serial_ms =
-      (AsyncFleet::kSites / 2) * kChallenge * 2 * kOneWayMs;
-  for (const auto& region : fleet.regions) {
-    EXPECT_NEAR(to_millis(region->clock.now()).count(), serial_ms, 1e-9);
-  }
-}
-
-TEST(AsyncShardedEngine, SingleShardMatchesBlockingPassCounts) {
-  AsyncFleet fleet(1);
-  ShardedAuditEngine engine(fleet.service, fleet.options(1));
-  EXPECT_EQ(engine.sweep_once(), AsyncFleet::kSites);
-  EXPECT_EQ(engine.compliance_all().total, AsyncFleet::kSites);
-  EXPECT_EQ(engine.compliance_all().passed, AsyncFleet::kSites);
-}
-
-TEST(AsyncShardedEngine, FaultIsolationRecordsAbortedAndContinues) {
-  AsyncFleet fleet(2);
-  // Break site 3's channel: its handler starts throwing.
-  Region& region = *fleet.regions[AsyncFleet::region_of(3, 2)];
-  net::SimAsyncChannel broken(
-      region.clock, region.queue, [](std::size_t) { return Millis{1.0}; },
-      [](BytesView) -> Bytes { throw StorageError("dead site"); });
-  net::SimAuditTimer timer(region.clock);
-  VerifierDevice dead_device(VerifierDevice::Config{.position = kSite},
-                             broken, timer, &region.driver);
-  fleet.service.remove(3);
-  fleet.service.add(*fleet.scheme, dead_device, fleet.sites[2]->record,
-                    kChallenge);
-
-  ShardedAuditEngine engine(fleet.service, fleet.options(2));
-  EXPECT_EQ(engine.sweep_once(), AsyncFleet::kSites - 1);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.audits, AsyncFleet::kSites);
-  EXPECT_EQ(stats.aborted, 1u);
-  EXPECT_TRUE(
-      fleet.service.history(3).back().report.failed(AuditFailure::kAborted));
-}
-
-TEST(AsyncShardedEngine, DeviceSpanningShardsRejected) {
-  // Two registrations sharing one device but partitioned onto different
-  // shards: async mode must refuse (the device's sessions would be pumped
-  // from two threads).
-  AsyncFleet fleet(2);
-  Region& region = *fleet.regions[0];
-  auto extra = make_async_site(region.clock, region.queue, &region.driver,
-                               100);
-  // Register the same device under two ids the partitioner splits.
-  fleet.service.add(*fleet.scheme, *extra->verifier,
-                    FileRecord{101, extra->record.n_segments, 0}, kChallenge);
-  fleet.service.add(*fleet.scheme, *extra->verifier,
-                    FileRecord{102, extra->record.n_segments, 0}, kChallenge);
-
-  ShardedAuditEngine engine(fleet.service, fleet.options(2));
-  EXPECT_THROW(engine.sweep_once(), InvalidArgument);
-}
-
-TEST(AsyncShardedEngine, MiswiredDriverFailsLoudlyInsteadOfSpinning) {
-  // driver_source hands the shard a driver over a queue its channels do
-  // not schedule on: the sweep must throw, not busy-spin forever with
-  // sessions that can never complete.
-  AsyncFleet fleet(1);
-  SimClock foreign_clock;
-  EventQueue foreign_queue(foreign_clock);
-  net::SimAsyncDriver foreign_driver(foreign_queue);
-  auto opts = fleet.options(1);
-  opts.driver_source = [&foreign_driver](std::size_t) {
-    return &foreign_driver;
-  };
-  ShardedAuditEngine engine(fleet.service, opts);
-  EXPECT_THROW(engine.sweep_once(), InvalidArgument);
-}
-
-TEST(AsyncShardedEngine, NullDriverRejectedAtConstruction) {
-  AsyncFleet fleet(1);
-  auto opts = fleet.options(1);
-  opts.driver_source = [](std::size_t) -> net::AsyncDriver* {
-    return nullptr;
-  };
-  EXPECT_THROW(ShardedAuditEngine(fleet.service, opts), InvalidArgument);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_FALSE(report->accepted);
+  EXPECT_TRUE(report->failed(AuditFailure::kAborted));
+  EXPECT_EQ(report->failures.size(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <type_traits>
 
 #include "common/errors.hpp"
@@ -281,6 +282,35 @@ TEST(AuditService, SchemeErrorInScheduledAuditDoesNotAbortQueue) {
   EXPECT_EQ(service.history(dyn_id).size(), 3u);
   EXPECT_EQ(service.compliance(dyn_id).passed, 3u);
   EXPECT_GE(service.consecutive_failures(mac_id), 2u);
+}
+
+TEST(AuditService, NonLibraryHandlerExceptionInScheduledAuditIsIsolated) {
+  // A provider handler throwing a plain std::runtime_error (no
+  // geoproof::Error) must be isolated like any scheme/device error: the
+  // broken registration records kAborted, the other one is still audited.
+  MixedWorld w;
+  net::SimRequestChannel broken(
+      w.clock, [](std::size_t) { return Millis{0.1}; },
+      [](BytesView) -> Bytes { throw std::runtime_error("handler bug"); });
+  VerifierDevice::Config vcfg;
+  vcfg.position = MixedWorld::kSite;
+  vcfg.signer_height = 4;
+  VerifierDevice dead(vcfg, broken, w.timer);
+  AuditService service;
+  const auto mac_id = service.add(*w.mac_scheme, dead, w.mac_record, 8);
+  const auto dyn_id = service.add(*w.dyn_scheme, *w.dyn_verifier,
+                                  w.dyn_record, 8);
+
+  const Nanos hour = std::chrono::duration_cast<Nanos>(std::chrono::hours(1));
+  service.schedule(w.queue, w.clock, w.clock.now() + hour, hour, 2);
+  ASSERT_NO_THROW(w.queue.run_all());
+
+  ASSERT_EQ(service.history(mac_id).size(), 2u);
+  for (const auto& entry : service.history(mac_id)) {
+    EXPECT_TRUE(entry.report.failed(AuditFailure::kAborted));
+  }
+  EXPECT_EQ(service.history(dyn_id).size(), 2u);
+  EXPECT_EQ(service.compliance(dyn_id).passed, 2u);
 }
 
 TEST(AuditService, RemoveAfterScheduleDropsOnlyThatRegistration) {

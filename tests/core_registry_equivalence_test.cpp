@@ -236,6 +236,32 @@ TEST(RegistryEquivalence, BatchFaultIsolatesFailingGroup) {
   EXPECT_EQ(service.consecutive_failures(11), 0u);
 }
 
+TEST(RegistryEquivalence, ThrowingReportHookRecordsEveryMemberOnce) {
+  // The hook runs outside the fault isolation: its exception reaches the
+  // caller, and neither skips a member's record nor re-records an already
+  // recorded audit as kAborted.
+  MacFarm farm(3);
+  AuditService service;
+  farm.add_all(service);
+  const AuditService::Now now = [&farm] { return farm.clock.now(); };
+
+  unsigned calls = 0;
+  EXPECT_THROW(service.run_batch(now, service.file_ids(),
+                                 [&calls](std::uint64_t, const AuditReport&) {
+                                   if (++calls == 2) {
+                                     throw Error("report sink down");
+                                   }
+                                 }),
+               Error);
+  EXPECT_EQ(calls, 2u);
+  for (const FileRecord& r : farm.records) {
+    ASSERT_EQ(service.history(r.file_id).size(), 1u) << "file " << r.file_id;
+    EXPECT_TRUE(service.history(r.file_id).back().report.accepted);
+  }
+  EXPECT_EQ(service.compliance().total, 3u);
+  EXPECT_EQ(service.compliance().passed, 3u);
+}
+
 TEST(RegistryEquivalence, GroupEndDelimitsSameDeviceRuns) {
   // group_end is the one grouping rule: maximal consecutive runs sharing a
   // (scheme, verifier) pair, so interleaved devices split into singletons.

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/errors.hpp"
@@ -373,6 +374,40 @@ TEST(ShardedEngine, AbortingSchemeIsIsolatedToItsRegistration) {
     EXPECT_EQ(history.back().report.accepted, !is_sentinel) << "file " << id;
     EXPECT_EQ(history.back().report.failed(AuditFailure::kAborted),
               is_sentinel)
+        << "file " << id;
+  }
+}
+
+TEST(ShardedEngine, BatchedSweepIsolatesNonLibraryHandlerException) {
+  // A channel handler throwing a plain std::runtime_error (no
+  // geoproof::Error) passes through the blocking channel adapter as is.
+  // Under batch_size > 1 it must abort only its group: the sweep
+  // completes and every other registration is audited.
+  Fleet fleet = make_fleet({.files_per_flavour = 2, .seed = 77});
+  MiniWorld& w = *fleet.worlds[0];  // file 1: MAC
+  net::SimRequestChannel broken(
+      w.clock, [](std::size_t) { return Millis{0.1}; },
+      [](BytesView) -> Bytes { throw std::runtime_error("handler bug"); });
+  VerifierDevice::Config vcfg;
+  vcfg.position = kSite;
+  vcfg.signer_height = 6;
+  VerifierDevice dead(vcfg, broken, w.timer);
+  fleet.service.remove(1);
+  fleet.service.add(*fleet.mac, dead, w.record, kChallenge);
+
+  ShardedAuditEngine::Options opts;
+  opts.shards = 2;
+  opts.batch_size = 4;
+  ShardedAuditEngine engine(fleet.service, opts);
+  std::uint64_t passed = 0;
+  ASSERT_NO_THROW(passed = engine.sweep_once());
+  EXPECT_EQ(passed, fleet.service.size() - 1);
+  EXPECT_EQ(engine.stats().audits, fleet.service.size());
+  EXPECT_EQ(engine.stats().aborted, 1u);
+  for (const std::uint64_t id : fleet.service.file_ids()) {
+    const auto& history = fleet.service.history(id);
+    ASSERT_EQ(history.size(), 1u) << "file " << id;
+    EXPECT_EQ(history.back().report.failed(AuditFailure::kAborted), id == 1)
         << "file " << id;
   }
 }
