@@ -143,7 +143,7 @@ void BM_AsyncTcpAudits(benchmark::State& state) {
     channels.push_back(std::make_unique<net::AsyncTcpChannel>(
         loop, "127.0.0.1", fleet.providers[i]->server->port()));
     devices.push_back(std::make_unique<VerifierDevice>(
-        Fleet::device_config(), *channels.back(), fleet.timer, &loop));
+        Fleet::device_config(), *channels.back(), fleet.timer));
   }
 
   unsigned passed = 0;

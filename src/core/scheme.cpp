@@ -158,7 +158,7 @@ void AuditScheme::begin_audit(const FileRecord& file, std::uint32_t k,
           report = verify(file, outcome.transcript);
         } catch (const std::exception&) {
           // A scheme fault inside a channel completion must surface as a
-          // report, not as an exception unwinding through the driver pump.
+          // report, not as an exception unwinding through the loop pump.
           report = AuditReport::aborted();
         }
         done(std::move(report));

@@ -20,11 +20,9 @@ VerifierDevice::VerifierDevice(Config config, net::RequestChannel& channel,
       rng_(config_.challenge_seed) {}
 
 VerifierDevice::VerifierDevice(Config config, net::AsyncChannel& channel,
-                               const net::AuditTimer& timer,
-                               net::AsyncDriver* driver)
+                               const net::AuditTimer& timer)
     : config_(std::move(config)),
       channel_(&channel),
-      driver_(driver),
       timer_(&timer),
       gps_(config_.position),
       signer_(config_.signer_seed, config_.signer_height),
@@ -40,6 +38,10 @@ struct VerifierDevice::Session {
   /// leave this false: the batch is signed as one unit after every
   /// member's rounds have run.
   bool sign = true;
+  /// step() is inside begin_request; a completion that fires there only
+  /// marks `next_inline` and step() loops, instead of recursing.
+  bool issuing = false;
+  bool next_inline = false;
   AuditCallback done;
 };
 
@@ -114,67 +116,74 @@ void VerifierDevice::begin_session(const AuditRequest& request, bool sign,
 }
 
 void VerifierDevice::step(const std::shared_ptr<Session>& session) {
-  // One timed round of the distance-bounding phase (Fig. 5). The
-  // completion continues the session: with an inline-completing adapter
-  // this recurses k rounds deep (k is small); on a real event loop each
-  // round is a separate reactor turn.
-  AuditTranscript& t = session->t;
-  const SegmentRequest req{t.file_id, t.challenge[session->next_round]};
-  const Bytes wire = req.serialize();
-  session->round_start = timer_->now();
-  channel_->begin_request(wire, [this, session](net::AsyncResult&& result) {
-    if (!result.ok()) {
-      AuditOutcome outcome;
-      outcome.error = result.error.empty() ? "transport failure"
-                                           : result.error;
-      session->done(std::move(outcome));
-      return;
-    }
+  // Timed rounds of the distance-bounding phase (Fig. 5). Each completion
+  // continues the session: on a real event loop it calls step() again
+  // from a later reactor turn; when it fires inline (a blocking channel)
+  // it only flags the next round and this loop issues it, so the stack
+  // stays flat however large k is.
+  do {
     AuditTranscript& t = session->t;
-    t.rtts.push_back(timer_->now() - session->round_start);
-    t.segments.push_back(std::move(result.payload));
-    if (++session->next_round < t.challenge.size()) {
-      step(session);
-      return;
-    }
+    const SegmentRequest req{t.file_id, t.challenge[session->next_round]};
+    const Bytes wire = req.serialize();
+    session->round_start = timer_->now();
+    session->next_inline = false;
+    session->issuing = true;
+    channel_->begin_request(wire, [this, session](net::AsyncResult&& result) {
+      on_round(session, std::move(result));
+    });
+    session->issuing = false;
+  } while (session->next_inline);
+}
+
+void VerifierDevice::on_round(const std::shared_ptr<Session>& session,
+                              net::AsyncResult&& result) {
+  if (!result.ok()) {
     AuditOutcome outcome;
-    try {
-      // Signing can fail (one-time key exhaustion, CryptoError); inside a
-      // channel completion that must become a session error, not an
-      // exception unwinding through whatever pumps the driver.
-      if (session->sign) {
-        outcome.transcript.signature = signer_.sign(t.serialize());
-      }
-      outcome.transcript.transcript = std::move(t);
-    } catch (const std::exception& e) {
-      outcome = AuditOutcome{};
-      outcome.error = e.what();
-      outcome.fault = std::current_exception();
-    }
+    outcome.error = result.error.empty() ? "transport failure" : result.error;
     session->done(std::move(outcome));
-  });
+    return;
+  }
+  AuditTranscript& t = session->t;
+  t.rtts.push_back(timer_->now() - session->round_start);
+  t.segments.push_back(std::move(result.payload));
+  if (++session->next_round < t.challenge.size()) {
+    if (session->issuing) {
+      session->next_inline = true;
+    } else {
+      step(session);
+    }
+    return;
+  }
+  AuditOutcome outcome;
+  try {
+    // Signing can fail (one-time key exhaustion, CryptoError); inside a
+    // channel completion that must become a session error, not an
+    // exception unwinding through whatever pumps the loop.
+    if (session->sign) {
+      outcome.transcript.signature = signer_.sign(t.serialize());
+    }
+    outcome.transcript.transcript = std::move(t);
+  } catch (const std::exception& e) {
+    outcome = AuditOutcome{};
+    outcome.error = e.what();
+    outcome.fault = std::current_exception();
+  }
+  session->done(std::move(outcome));
 }
 
 VerifierDevice::AuditOutcome VerifierDevice::run_session(
     const AuditRequest& request, bool sign) {
-  if (adapter_ == nullptr && driver_ == nullptr) {
+  if (adapter_ == nullptr) {
     // Refuse before issuing any request: starting the session and then
     // throwing would leave an in-flight completion holding a pointer to
     // this frame's locals.
     throw ProtocolError(
-        "run_audit: device wired to an async channel without a driver to "
-        "pump; use begin_audit (or pass a driver at construction)");
+        "run_audit: device wired to an async channel; use begin_audit and "
+        "pump the channel's loop");
   }
   std::optional<AuditOutcome> outcome;
   begin_session(request, sign,
                 [&outcome](AuditOutcome&& out) { outcome = std::move(out); });
-  while (!outcome && driver_ != nullptr) {
-    if (driver_->pump() == 0 && driver_->idle()) {
-      throw ProtocolError(
-          "run_audit: driver went idle with the session incomplete (is the "
-          "channel pumped by this driver?)");
-    }
-  }
   if (!outcome) {
     throw ProtocolError(
         "run_audit: blocking channel did not complete inline");

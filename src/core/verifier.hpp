@@ -7,12 +7,13 @@
 // anything — all verification is the TPA's job — which keeps the trusted
 // device minimal, exactly as the paper argues.
 //
-// The protocol core is the asynchronous session form begin_audit(): an
-// AuditSession advances one challenge round per channel completion, so one
-// event-loop thread can hold many devices' distance-bounding sessions in
-// flight at once. The blocking run_audit() remains as a thin adapter —
-// begin_audit over a channel whose completions fire inline (or, for a
-// device wired to a real async channel, over a pumped driver).
+// The protocol core is the session form begin_audit(): a session advances
+// one challenge round per channel completion, so one event-loop thread can
+// hold many devices' distance-bounding sessions in flight at once. Rounds
+// whose completions fire inline (a blocking channel) run in a loop, not a
+// recursion, so a k-round audit never nests k frames deep. The blocking
+// run_audit() is a thin adapter: begin_audit over a blocking channel,
+// whose completions always fire inline.
 #pragma once
 
 #include <exception>
@@ -54,13 +55,11 @@ class VerifierDevice {
                  const net::AuditTimer& timer);
 
   /// Async wiring: the device issues its timed rounds on `channel` and its
-  /// sessions complete as the channel's driver is pumped. `driver`, when
-  /// given, lets the blocking run_audit() adapter pump completions itself;
-  /// without one, run_audit() on this device throws unless completions
-  /// fire inline.
+  /// sessions complete as the caller pumps the channel's EventLoop (or
+  /// EventQueue). Only begin_audit() works on this wiring; the blocking
+  /// run_audit()/run_audit_batch() throw ProtocolError.
   VerifierDevice(Config config, net::AsyncChannel& channel,
-                 const net::AuditTimer& timer,
-                 net::AsyncDriver* driver = nullptr);
+                 const net::AuditTimer& timer);
 
   /// The device's public key, provisioned to the TPA out of band.
   const crypto::Digest& public_key() const { return signer_.public_key(); }
@@ -101,10 +100,9 @@ class VerifierDevice {
   /// is serialised by the single-threaded completion contract).
   void begin_audit(const AuditRequest& request, AuditCallback done);
 
-  /// Blocking adapter over begin_audit: completes inline on an adapted
-  /// blocking channel, pumps the device's driver otherwise. Transport
-  /// errors surface as exceptions (NetError et al.), exactly the
-  /// pre-async behaviour.
+  /// Blocking adapter over begin_audit on a device wired to a blocking
+  /// RequestChannel (throws ProtocolError on async wiring). Transport
+  /// errors surface as exceptions (NetError et al.).
   SignedTranscript run_audit(const AuditRequest& request);
 
   /// Run a batch of audits back to back and sign the whole batch with ONE
@@ -131,16 +129,17 @@ class VerifierDevice {
   struct Session;
   void begin_session(const AuditRequest& request, bool sign,
                      AuditCallback done);
-  /// Run one session to completion on the blocking/pumped path and return
-  /// its outcome; shared by run_audit and run_audit_batch.
+  /// Run one session to completion on the blocking path and return its
+  /// outcome; shared by run_audit and run_audit_batch.
   AuditOutcome run_session(const AuditRequest& request, bool sign);
   void step(const std::shared_ptr<Session>& session);
+  void on_round(const std::shared_ptr<Session>& session,
+                net::AsyncResult&& result);
 
   Config config_;
   /// Owned adapter when constructed over a blocking RequestChannel.
   std::unique_ptr<net::BlockingChannelAdapter> adapter_;
   net::AsyncChannel* channel_;
-  net::AsyncDriver* driver_ = nullptr;
   const net::AuditTimer* timer_;
   GpsDevice gps_;
   crypto::MerkleSigner signer_;

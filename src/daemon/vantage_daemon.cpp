@@ -27,15 +27,21 @@ void VantageDaemon::stop() {
 }
 
 Bytes VantageDaemon::serve(BytesView frame) {
-  switch (type_of(frame)) {
-    case MsgType::kPing: {
-      const Ping ping = decode_ping(frame);
-      return encode(Pong{ping.nonce, config_.name});
+  // Throwing here would make the server drop the connection and leave the
+  // auditor with only "connection closed" instead of the reason.
+  try {
+    switch (type_of(frame)) {
+      case MsgType::kPing: {
+        const Ping ping = decode_ping(frame);
+        return encode(Pong{ping.nonce, config_.name});
+      }
+      case MsgType::kMeasureRequest:
+        return encode(measure(decode_measure_request(frame)));
+      default:
+        return encode(ErrorReply{"vantage: unexpected message type"});
     }
-    case MsgType::kMeasureRequest:
-      return encode(measure(decode_measure_request(frame)));
-    default:
-      return encode(ErrorReply{"vantage: unexpected message type"});
+  } catch (const Error& err) {
+    return encode(ErrorReply{err.what()});
   }
 }
 

@@ -76,6 +76,8 @@ class VantageDaemon {
   SampleReport measure(const MeasureRequest& request);
 
  private:
+  /// Answer one frame. A request that fails to decode or validate gets an
+  /// ErrorReply carrying the reason; the connection stays open.
   Bytes serve(BytesView frame);
   SampleReport fabricate(const MeasureRequest& request) const;
 

@@ -1,128 +1,49 @@
 #include "distbound/bit_exchange.hpp"
 
-#include <memory>
-#include <optional>
-
 #include "common/errors.hpp"
 
 namespace geoproof::distbound {
-
-namespace {
-
-/// One in-flight rapid-bit-exchange: each round is a challenge-arrival
-/// event followed by a response-arrival event, so many sessions interleave
-/// on one EventQueue. Kept alive by the event lambdas until the last
-/// round settles.
-struct ExchangeSession : std::enable_shared_from_this<ExchangeSession> {
-  SimClock* clock = nullptr;
-  EventQueue* queue = nullptr;
-  Millis one_way{0};
-  ExchangeParams params;
-  BitResponder responder;
-  BitResponder expected;
-  Rng* rng = nullptr;
-  std::function<void(ExchangeResult&&)> done;
-
-  ExchangeResult result;
-  unsigned round = 0;
-  Nanos round_start{0};
-
-  void start_round() {
-    // Per-round rng draw order (challenge, then up to two flips) matches
-    // the historical inline loop exactly, which is what keeps the
-    // blocking adapter byte-identical.
-    const bool challenge = rng->next_bool();
-    round_start = clock->now();
-    queue->schedule_after(
-        to_nanos(one_way),
-        [self = shared_from_this(), challenge] {
-          self->on_challenge_arrival(challenge);
-        });
-  }
-
-  void on_challenge_arrival(bool challenge) {
-    // Channel noise may corrupt the challenge in flight: the prover then
-    // answers the wrong question (from the verifier's point of view).
-    const bool challenge_rx =
-        params.bit_flip_prob > 0.0 && rng->next_bool(params.bit_flip_prob)
-            ? !challenge
-            : challenge;
-    const bool response = responder(round, challenge_rx);  // may advance clock
-    queue->schedule_after(
-        to_nanos(one_way),
-        [self = shared_from_this(), challenge, response] {
-          self->on_response_arrival(challenge, response);
-        });
-  }
-
-  void on_response_arrival(bool challenge, bool response) {
-    if (params.bit_flip_prob > 0.0 && rng->next_bool(params.bit_flip_prob)) {
-      response = !response;  // response corrupted
-    }
-    const Millis rtt = to_millis(clock->now() - round_start);
-
-    RoundRecord rec{challenge, response, rtt};
-    result.rounds.push_back(rec);
-    if (rtt > result.max_rtt) result.max_rtt = rtt;
-    if (rtt > params.max_rtt) ++result.timing_violations;
-    if (response != expected(round, challenge)) ++result.bit_errors;
-
-    if (++round < params.rounds) {
-      start_round();
-      return;
-    }
-    result.accepted = result.timing_violations == 0 &&
-                      result.bit_errors <= params.max_bit_errors;
-    done(std::move(result));
-  }
-};
-
-}  // namespace
-
-void begin_bit_exchange(SimClock& clock, EventQueue& queue, Millis one_way,
-                        const ExchangeParams& params,
-                        const BitResponder& responder,
-                        const BitResponder& expected, Rng& rng,
-                        std::function<void(ExchangeResult&&)> done) {
-  if (!responder || !expected) {
-    throw InvalidArgument("run_bit_exchange: null responder");
-  }
-  if (!done) throw InvalidArgument("begin_bit_exchange: null callback");
-  if (params.rounds == 0) {
-    ExchangeResult empty;
-    empty.accepted = true;
-    done(std::move(empty));
-    return;
-  }
-  auto session = std::make_shared<ExchangeSession>();
-  session->clock = &clock;
-  session->queue = &queue;
-  session->one_way = one_way;
-  session->params = params;
-  session->responder = responder;
-  session->expected = expected;
-  session->rng = &rng;
-  session->done = std::move(done);
-  session->result.rounds.reserve(params.rounds);
-  session->start_round();
-}
 
 ExchangeResult run_bit_exchange(SimClock& clock, Millis one_way,
                                 const ExchangeParams& params,
                                 const BitResponder& responder,
                                 const BitResponder& expected, Rng& rng) {
-  // Blocking adapter: the session runs on a private queue pumped to
-  // completion here, charging the caller's clock exactly as the historical
-  // inline loop did.
-  EventQueue queue(clock);
-  std::optional<ExchangeResult> out;
-  begin_bit_exchange(clock, queue, one_way, params, responder, expected, rng,
-                     [&out](ExchangeResult&& r) { out = std::move(r); });
-  queue.run_all();
-  if (!out) {
-    throw ProtocolError("run_bit_exchange: session did not complete");
+  if (!responder || !expected) {
+    throw InvalidArgument("run_bit_exchange: null responder");
   }
-  return std::move(*out);
+  if (params.rounds == 0) {
+    throw InvalidArgument("run_bit_exchange: rounds must be >= 1");
+  }
+  const Nanos leg = to_nanos(one_way);
+  ExchangeResult result;
+  result.rounds.reserve(params.rounds);
+  for (unsigned round = 0; round < params.rounds; ++round) {
+    // Per-round rng draw order: challenge, challenge flip, whatever the
+    // responder draws, response flip.
+    const bool challenge = rng.next_bool();
+    const Nanos round_start = clock.now();
+    clock.advance(leg);
+    // Channel noise may corrupt the challenge in flight: the prover then
+    // answers the wrong question (from the verifier's point of view).
+    const bool challenge_rx =
+        params.bit_flip_prob > 0.0 && rng.next_bool(params.bit_flip_prob)
+            ? !challenge
+            : challenge;
+    bool response = responder(round, challenge_rx);  // may advance clock
+    clock.advance(leg);
+    if (params.bit_flip_prob > 0.0 && rng.next_bool(params.bit_flip_prob)) {
+      response = !response;  // response corrupted
+    }
+    const Millis rtt = to_millis(clock.now() - round_start);
+
+    result.rounds.push_back(RoundRecord{challenge, response, rtt});
+    if (rtt > result.max_rtt) result.max_rtt = rtt;
+    if (rtt > params.max_rtt) ++result.timing_violations;
+    if (response != expected(round, challenge)) ++result.bit_errors;
+  }
+  result.accepted = result.timing_violations == 0 &&
+                    result.bit_errors <= params.max_bit_errors;
+  return result;
 }
 
 std::vector<Millis> rtt_samples(const ExchangeResult& result) {

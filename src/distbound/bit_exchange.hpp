@@ -49,22 +49,11 @@ struct ExchangeResult {
 /// produce the response bit.
 using BitResponder = std::function<bool(unsigned round, bool challenge)>;
 
-/// Asynchronous session form of the rapid phase: each round is a pair of
-/// EventQueue events (challenge arrival, response arrival), so many
-/// exchanges interleave on one virtual world — the BFT-PoLoc-style
-/// mass-delay-measurement shape, where one measurement harness overlaps
-/// exchanges against many provers. `done` fires (on the pumping thread)
-/// when the last round lands. The responder may advance the clock
-/// (processing delay / relaying), exactly as in the blocking form.
-void begin_bit_exchange(SimClock& clock, EventQueue& queue, Millis one_way,
-                        const ExchangeParams& params,
-                        const BitResponder& responder,
-                        const BitResponder& expected, Rng& rng,
-                        std::function<void(ExchangeResult&&)> done);
-
-/// Blocking adapter over begin_bit_exchange: runs the session on a private
-/// event queue to completion. Byte-identical results to the historical
-/// inline loop (same rng draw order, same latency arithmetic).
+/// Run the rapid phase: `params.rounds` timed rounds, each charging
+/// `one_way` out and back to `clock` around the responder call. The
+/// responder may advance the clock too (processing delay, relaying).
+/// Throws InvalidArgument on a null responder or zero rounds — an exchange
+/// of no rounds measures nothing and must not be accepted.
 ExchangeResult run_bit_exchange(SimClock& clock, Millis one_way,
                                 const ExchangeParams& params,
                                 const BitResponder& responder,

@@ -84,12 +84,10 @@ void VantageFleet::probe_vantage(std::size_t index,
       prover.behaviour == ProverBehaviour::kDelayed ? prover.processing
                                                     : Millis{0};
 
-  // Each vantage is its own machine: private world, private rng streams
+  // Each vantage is its own machine: private clock, private rng streams
   // (challenge bits and queueing jitter drawn independently, so sweeps are
   // reproducible from (seed, vantage) regardless of shard layout).
   SimClock clock;
-  EventQueue queue(clock);
-  MeasurementPlane plane(clock, queue);
   Rng challenge_rng = Rng::stream(options_.seed, 2 * index);
   Rng jitter_rng = Rng::stream(options_.seed, 2 * index + 1);
 
@@ -107,7 +105,7 @@ void VantageFleet::probe_vantage(std::size_t index,
   ProbeParams params;
   params.rounds = options_.rounds;
   sweep.observations[index] =
-      plane.probe(vantage, one_way, responder_delay, params, challenge_rng);
+      probe(clock, vantage, one_way, responder_delay, params, challenge_rng);
   sweep.observations[index].vantage = vantage;
 }
 

@@ -6,7 +6,7 @@
 // points (other cloud instances, other auditors) each time a rapid bit
 // exchange against the prover and the fleet solves for where the prover
 // *actually* is. Each vantage is its own simulated machine (private
-// SimClock + EventQueue); a sweep partitions vantages across the sharded
+// SimClock); a sweep partitions vantages across the sharded
 // audit engine's workers via run_on_shards, so a whole fleet measurement
 // runs concurrently on the parked worker pool.
 //
@@ -120,8 +120,8 @@ class VantageFleet {
   /// The concurrent form: vantages are partitioned round-robin across the
   /// engine's shards and each shard probes its vantages on the engine's
   /// (parked) workers via run_on_shards. Deterministic: identical
-  /// observations to the serial form — shard workers only pump disjoint
-  /// vantage worlds.
+  /// observations to the serial form — shard workers only advance disjoint
+  /// vantage clocks.
   FleetSweep sweep(const ProverConfig& prover,
                    core::ShardedAuditEngine& engine) const;
 

@@ -141,17 +141,13 @@ VantageObservation observe_transcript(
   return obs;
 }
 
-MeasurementPlane::MeasurementPlane(SimClock& clock, EventQueue& queue)
-    : clock_(&clock), queue_(&queue) {}
-
-void MeasurementPlane::begin_probe(
-    const geoloc::Landmark& vantage, Millis one_way,
-    std::function<Millis(unsigned round)> responder_delay,
-    const ProbeParams& params, Rng& rng,
-    std::function<void(VantageObservation&&)> done) {
-  if (!done) throw InvalidArgument("MeasurementPlane: null callback");
+VantageObservation probe(SimClock& clock, const geoloc::Landmark& vantage,
+                         Millis one_way,
+                         const std::function<Millis(unsigned round)>&
+                             responder_delay,
+                         const ProbeParams& params, Rng& rng) {
   if (one_way.count() < 0.0) {
-    throw InvalidArgument("MeasurementPlane: negative one-way latency");
+    throw InvalidArgument("locate::probe: negative one-way latency");
   }
   distbound::ExchangeParams xparams;
   xparams.rounds = params.rounds;
@@ -159,42 +155,22 @@ void MeasurementPlane::begin_probe(
   // The probe carries no secret bits — the vantage only wants the timing —
   // so the prover just echoes the challenge and every answer verifies.
   const distbound::BitResponder responder =
-      [clock = clock_, delay = std::move(responder_delay)](unsigned round,
-                                                           bool challenge) {
-        if (delay) {
-          const Millis d = delay(round);
-          if (d.count() > 0.0) clock->advance(d);
+      [&clock, &responder_delay](unsigned round, bool challenge) {
+        if (responder_delay) {
+          const Millis d = responder_delay(round);
+          if (d.count() > 0.0) clock.advance(d);
         }
         return challenge;
       };
   const distbound::BitResponder expected = [](unsigned, bool challenge) {
     return challenge;
   };
-  distbound::begin_bit_exchange(
-      *clock_, *queue_, one_way, xparams, responder, expected, rng,
-      [vantage, done = std::move(done)](distbound::ExchangeResult&& result) {
-        done(observe_exchange(vantage, result));
-      });
-}
-
-VantageObservation MeasurementPlane::probe(
-    const geoloc::Landmark& vantage, Millis one_way,
-    std::function<Millis(unsigned round)> responder_delay,
-    const ProbeParams& params, Rng& rng) {
-  VantageObservation out;
-  bool settled = false;
-  const Nanos start = clock_->now();
-  begin_probe(vantage, one_way, std::move(responder_delay), params, rng,
-              [&out, &settled](VantageObservation&& obs) {
-                out = std::move(obs);
-                settled = true;
-              });
-  queue_->run_all();
-  if (!settled) {
-    throw ProtocolError("MeasurementPlane: probe did not complete");
-  }
-  out.probe_elapsed = to_millis(clock_->now() - start);
-  return out;
+  const Nanos start = clock.now();
+  VantageObservation obs = observe_exchange(
+      vantage, distbound::run_bit_exchange(clock, one_way, xparams, responder,
+                                           expected, rng));
+  obs.probe_elapsed = to_millis(clock.now() - start);
+  return obs;
 }
 
 }  // namespace geoproof::locate

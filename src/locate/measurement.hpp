@@ -3,10 +3,11 @@
 //
 // A vantage measures its delay to the prover by running the same rapid
 // bit-exchange phase GeoProof's distance bounding uses
-// (distbound::begin_bit_exchange): every round is one independent RTT
-// sample of the same path, charged to the vantage's virtual world. The
-// plane also ingests full GeoProof audit transcripts (the rtts the
-// verifier signed), so scheme audits double as delay measurements.
+// (distbound::run_bit_exchange): every round is one independent RTT
+// sample of the same path, charged to the vantage's virtual clock.
+// observe_transcript also ingests full GeoProof audit transcripts (the
+// rtts the verifier signed), so scheme audits double as delay
+// measurements.
 //
 // Sample filtering: `min_filtered` is the classic best-of-k estimator for
 // queueing-dominated jitter — load can only *add* delay, so the minimum of
@@ -121,34 +122,17 @@ struct ProbeParams {
   Millis max_rtt{1.0e6};
 };
 
-/// Drives delay probes on one vantage's virtual world. One plane belongs
-/// to one (SimClock, EventQueue) pair — the vantage's own simulated site —
-/// and many planes' worlds advance independently (vantages are separate
-/// machines), concurrently across engine shards.
-class MeasurementPlane {
- public:
-  MeasurementPlane(SimClock& clock, EventQueue& queue);
-
-  /// Begin an asynchronous probe of the prover as seen from `vantage`:
-  /// `one_way` models the vantage→prover path and `responder_delay` is
-  /// charged to the vantage clock inside each round (prover processing
-  /// stalls, per-round jitter) — both may encode adversarial behaviour.
-  /// `done` fires on the pumping thread when the last round lands; pump
-  /// the plane's EventQueue to completion.
-  void begin_probe(const geoloc::Landmark& vantage, Millis one_way,
-                   std::function<Millis(unsigned round)> responder_delay,
-                   const ProbeParams& params, Rng& rng,
-                   std::function<void(VantageObservation&&)> done);
-
-  /// Blocking adapter: runs one probe to completion on the plane's queue.
-  VantageObservation probe(const geoloc::Landmark& vantage, Millis one_way,
-                           std::function<Millis(unsigned round)> responder_delay,
-                           const ProbeParams& params, Rng& rng);
-
- private:
-  SimClock* clock_;
-  EventQueue* queue_;
-};
+/// Probe the prover as seen from `vantage` on the vantage's own virtual
+/// clock: `one_way` models the vantage→prover path and `responder_delay`
+/// (may be empty) is charged to `clock` inside each round (prover
+/// processing stalls, per-round jitter) — both may encode adversarial
+/// behaviour. Each vantage is its own machine with its own clock, so many
+/// vantages probe concurrently on separate threads.
+VantageObservation probe(SimClock& clock, const geoloc::Landmark& vantage,
+                         Millis one_way,
+                         const std::function<Millis(unsigned round)>&
+                             responder_delay,
+                         const ProbeParams& params, Rng& rng);
 
 /// Build an observation from a finished bit exchange.
 VantageObservation observe_exchange(const geoloc::Landmark& vantage,

@@ -2,16 +2,18 @@
 // request interface, and the simulated async channel that replays the
 // virtual-latency model on the same API.
 //
-// This layer supersedes the blocking RequestChannel as the library's
-// primary transport abstraction. One thread pumping one EventLoop (or one
-// EventQueue, in simulation) drives many in-flight request/response
-// sessions at once — the shape GeoFINDR-style multicloud sweeps and
-// BFT-PoLoc-style mass delay measurement need, where an auditor overlaps
-// dozens of distance-bounding sessions instead of parking a thread per
-// round trip. The blocking RequestChannel (channel.hpp) remains as the
-// adapter surface: BlockingChannelAdapter lifts any RequestChannel into an
-// AsyncChannel whose completions fire inline, so every legacy entry point
-// re-layers over the async core without duplicating protocol logic.
+// Asynchrony lives here, where a socket needs it. One thread pumping one
+// EventLoop drives many in-flight request/response exchanges:
+// daemon::AuditorClient fans one measurement out to every vantage over
+// AsyncTcpChannel this way (the GeoFINDR multi-vantage shape), and
+// VerifierDevice::begin_audit holds many devices' audit sessions on one
+// loop. SimAsyncChannel replays the virtual-latency model on the same API,
+// pumped by an EventQueue, so the session form stays deterministic under
+// test. The simulated measurement layers above (distbound, locate) stay
+// plain sequential loops. The blocking RequestChannel (channel.hpp)
+// remains as the adapter surface: BlockingChannelAdapter lifts any
+// RequestChannel into an AsyncChannel whose completions fire inline, so
+// the blocking entry points share the session code.
 //
 // ## Thread-safety contract
 //
@@ -84,11 +86,11 @@ struct AsyncResult {
   bool ok() const { return status == AsyncStatus::kOk; }
 };
 
-/// Non-blocking request/response transport. Supersedes RequestChannel:
-/// begin_request() returns immediately and the completion fires when the
-/// response (or a failure) arrives, on the thread pumping the channel's
-/// driver. Completions MAY fire inline within begin_request (the blocking
-/// adapter always completes inline); callers must tolerate both.
+/// Non-blocking request/response transport. begin_request() returns
+/// immediately and the completion fires when the response (or a failure)
+/// arrives, on the thread pumping the channel's EventLoop (or EventQueue,
+/// in simulation). Completions MAY fire inline within begin_request (the
+/// blocking adapter always completes inline); callers must tolerate both.
 class AsyncChannel {
  public:
   /// Correlation id of one in-flight request, unique per channel; used to
@@ -111,21 +113,6 @@ class AsyncChannel {
   /// before cancel() returns, and any late response is discarded. Returns
   /// false when the id is unknown or already completed.
   virtual bool cancel(RequestId id) = 0;
-};
-
-/// Pumps completions for one world of async channels: the epoll EventLoop
-/// for real sockets, SimAsyncDriver for the virtual-latency model. One
-/// driver is pumped by exactly one thread at a time.
-class AsyncDriver {
- public:
-  virtual ~AsyncDriver() = default;
-  /// Process ready work (may block briefly waiting for it on a real
-  /// loop; runs every due virtual event in simulation). Returns the
-  /// number of events/completions handled.
-  virtual std::size_t pump() = 0;
-  /// No timers pending and no work queued. Advisory: the session layer
-  /// tracks its own in-flight count rather than relying on this.
-  virtual bool idle() const = 0;
 };
 
 /// Lifts a blocking RequestChannel into the AsyncChannel API: the request
@@ -197,19 +184,6 @@ class SimAsyncChannel final : public AsyncChannel {
   std::uint64_t exchanges_ = 0;
 };
 
-/// AsyncDriver over a virtual-time EventQueue: pump() drains every due
-/// event (completions may schedule more; they run too). Deterministic —
-/// the virtual world advances exactly as the event timestamps dictate.
-class SimAsyncDriver final : public AsyncDriver {
- public:
-  explicit SimAsyncDriver(EventQueue& queue) : queue_(&queue) {}
-  std::size_t pump() override { return queue_->run_all(); }
-  bool idle() const override { return queue_->empty(); }
-
- private:
-  EventQueue* queue_;
-};
-
 /// Hashed timer wheel for request deadlines: slots of fixed granularity,
 /// entries beyond the horizon carry a rounds counter (the classic hashed
 /// wheel). Insert/cancel are O(1); expiry touches only the slots the
@@ -255,14 +229,14 @@ class TimerWheel {
 /// cross-thread wakeup fd for post()/stop(). Single-threaded by design —
 /// every method except post() and stop() must be called from the pumping
 /// thread (or before any thread pumps).
-class EventLoop final : public AsyncDriver {
+class EventLoop final {
  public:
   /// (readable, writable, error) — error covers EPOLLERR/EPOLLHUP.
   using FdHandler = std::function<void(bool, bool, bool)>;
   using TimerId = TimerWheel::TimerId;
 
   EventLoop();
-  ~EventLoop() override;
+  ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -285,13 +259,13 @@ class EventLoop final : public AsyncDriver {
   /// readiness, dispatch, fire due timers, drain posted tasks. Returns
   /// the number of handlers/timers/tasks run.
   std::size_t pump(Millis max_wait);
-  std::size_t pump() override { return pump(Millis{10.0}); }
   /// Pump until stop() is called. Guarantee: any task whose post()
   /// happened-before the stop() runs before run() returns (a final
   /// zero-wait pump drains the posted queue after the stop flag is seen).
   void run();
 
-  bool idle() const override;
+  /// No timers pending, no posted tasks, no fds beyond the wakeup fd.
+  bool idle() const;
   std::size_t fds() const { return handlers_.size(); }
 
  private:

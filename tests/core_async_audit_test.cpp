@@ -53,7 +53,6 @@ struct AsyncSite {
 };
 
 std::unique_ptr<AsyncSite> make_async_site(SimClock& clock, EventQueue& queue,
-                                           net::AsyncDriver* driver,
                                            std::uint64_t file_id,
                                            double one_way_ms = kOneWayMs) {
   auto site = std::make_unique<AsyncSite>();
@@ -74,8 +73,8 @@ std::unique_ptr<AsyncSite> make_async_site(SimClock& clock, EventQueue& queue,
   VerifierDevice::Config vcfg;
   vcfg.position = kSite;
   vcfg.challenge_seed = 0xc4a11e + file_id;
-  site->verifier = std::make_unique<VerifierDevice>(vcfg, *site->channel,
-                                                    *site->timer, driver);
+  site->verifier =
+      std::make_unique<VerifierDevice>(vcfg, *site->channel, *site->timer);
   site->record = FileRecord{file_id, site->file.n_segments, 0};
   return site;
 }
@@ -135,6 +134,36 @@ TEST(AsyncVerifier, SessionMatchesBlockingTranscriptExactly) {
   EXPECT_TRUE(scheme_a.verify(record, *async_result).accepted);
 }
 
+TEST(AsyncVerifier, InlineCompletionsDoNotNestOneFramePerRound) {
+  // A blocking channel completes each round inside begin_request. The
+  // session must run those rounds in a loop, not recurse once per round:
+  // catching a 0.05% corruption rate at 99% confidence needs k ~ 9,200,
+  // and 50,000 nested rounds would overflow an 8 MB stack.
+  constexpr std::uint32_t kRounds = 50000;
+  SimClock clock;
+  const Bytes segment(8, 0x5a);
+  net::SimRequestChannel channel(
+      clock, [](std::size_t) { return Millis{kOneWayMs}; },
+      [&segment](BytesView) { return segment; });
+  net::SimAuditTimer timer(clock);
+  VerifierDevice device(VerifierDevice::Config{.position = kSite}, channel,
+                        timer);
+
+  AuditRequest request;
+  request.file_id = 1;
+  request.n_segments = std::uint64_t{1} << 20;
+  request.k = kRounds;
+  request.nonce = Bytes(16, 0xaa);
+  const SignedTranscript signed_t = device.run_audit(request);
+  const AuditTranscript& t = signed_t.transcript;
+  ASSERT_EQ(t.rtts.size(), kRounds);
+  ASSERT_EQ(t.segments.size(), kRounds);
+  EXPECT_EQ(t.rtts.front().count(), 2 * kOneWayMs);
+  EXPECT_EQ(t.rtts.back().count(), 2 * kOneWayMs);
+  EXPECT_TRUE(crypto::merkle_verify(device.public_key(), t.serialize(),
+                                    signed_t.signature));
+}
+
 TEST(AsyncVerifier, ConcurrentSessionsOverlapInVirtualTime) {
   // The acceptance property: K = 6 full audit sessions of kChallenge
   // rounds, round trip 2*kOneWayMs each, all in flight on one world —
@@ -143,11 +172,10 @@ TEST(AsyncVerifier, ConcurrentSessionsOverlapInVirtualTime) {
   constexpr std::uint64_t kSessions = 6;
   SimClock clock;
   EventQueue queue(clock);
-  net::SimAsyncDriver driver(queue);
 
   std::vector<std::unique_ptr<AsyncSite>> sites;
   for (std::uint64_t id = 1; id <= kSessions; ++id) {
-    sites.push_back(make_async_site(clock, queue, &driver, id));
+    sites.push_back(make_async_site(clock, queue, id));
   }
   MacAuditScheme scheme(base_config(sites[0]->verifier->public_key()),
                         small_params());
@@ -161,7 +189,7 @@ TEST(AsyncVerifier, ConcurrentSessionsOverlapInVirtualTime) {
                        });
   }
   EXPECT_EQ(accepted, 0u);
-  driver.pump();
+  queue.run_all();
   EXPECT_EQ(accepted, kSessions);
 
   const double elapsed_ms = to_millis(clock.now()).count();
@@ -223,28 +251,13 @@ TEST(AsyncVerifier, TransportErrorDeliversOutcomeNotThrow) {
   EXPECT_NE(outcome->error.find("segment store down"), std::string::npos);
 }
 
-TEST(AsyncVerifier, RunAuditPumpsOwnDriverWhenGiven) {
-  SimClock clock;
-  EventQueue queue(clock);
-  net::SimAsyncDriver driver(queue);
-  auto site = make_async_site(clock, queue, &driver, 1);
-  MacAuditScheme scheme(base_config(site->verifier->public_key()),
-                        small_params());
-
-  // Blocking call on an async-native device: run_audit pumps the driver.
-  const AuditReport report =
-      scheme.audit_once(site->record, kChallenge, *site->verifier);
-  EXPECT_TRUE(report.accepted) << report.summary();
-}
-
 TEST(AsyncVerifier, SignerExhaustionBecomesAbortedReportNotThrow) {
   // The device's one-time signing keys run out mid-sweep: inside a channel
   // completion that must surface as a kAborted report, not an exception
-  // unwinding through whoever pumps the driver (which would kill a whole
+  // unwinding through whoever pumps the queue (which would kill a whole
   // engine shard).
   SimClock clock;
   EventQueue queue(clock);
-  net::SimAsyncDriver driver(queue);
   Rng rng(5);
   const por::EncodedFile file =
       por::PorEncoder(small_params()).encode(rng.next_bytes(20000), 1,
@@ -259,7 +272,7 @@ TEST(AsyncVerifier, SignerExhaustionBecomesAbortedReportNotThrow) {
   VerifierDevice::Config vcfg;
   vcfg.position = kSite;
   vcfg.signer_height = 2;  // only 4 audits possible
-  VerifierDevice device(vcfg, channel, timer, &driver);
+  VerifierDevice device(vcfg, channel, timer);
   MacAuditScheme scheme(base_config(device.public_key()), small_params());
   const FileRecord record{1, file.n_segments, 0};
 
@@ -267,7 +280,7 @@ TEST(AsyncVerifier, SignerExhaustionBecomesAbortedReportNotThrow) {
   for (int i = 0; i < 5; ++i) {
     scheme.begin_audit(record, 3, device,
                        [&](AuditReport&& r) { reports.push_back(std::move(r)); });
-    driver.pump();
+    queue.run_all();
   }
   ASSERT_EQ(reports.size(), 5u);
   for (int i = 0; i < 4; ++i) {
@@ -279,10 +292,10 @@ TEST(AsyncVerifier, SignerExhaustionBecomesAbortedReportNotThrow) {
   EXPECT_EQ(device.audits_remaining(), 0u);
 }
 
-TEST(AsyncVerifier, RunAuditWithoutDriverThrows) {
+TEST(AsyncVerifier, RunAuditOnAsyncWiringThrows) {
   SimClock clock;
   EventQueue queue(clock);
-  auto site = make_async_site(clock, queue, /*driver=*/nullptr, 1);
+  auto site = make_async_site(clock, queue, 1);
   MacAuditScheme scheme(base_config(site->verifier->public_key()),
                         small_params());
   EXPECT_THROW(
@@ -296,13 +309,12 @@ TEST(AsyncScheme, MidSessionFailureReportsAborted) {
   // a kAborted report on the pumping thread instead of an exception.
   SimClock clock;
   EventQueue queue(clock);
-  net::SimAsyncDriver driver(queue);
   net::SimAsyncChannel channel(
       clock, queue, [](std::size_t) { return Millis{1.0}; },
       [](BytesView) -> Bytes { throw StorageError("gone"); });
   net::SimAuditTimer timer(clock);
   VerifierDevice device(VerifierDevice::Config{.position = kSite}, channel,
-                        timer, &driver);
+                        timer);
   MacAuditScheme scheme(base_config(device.public_key()), small_params());
   const FileRecord record{3, 64, 0};
 
@@ -310,7 +322,7 @@ TEST(AsyncScheme, MidSessionFailureReportsAborted) {
   scheme.begin_audit(record, kChallenge, device,
                      [&](AuditReport&& r) { report = std::move(r); });
   EXPECT_FALSE(report.has_value());  // in flight until pumped
-  driver.pump();
+  queue.run_all();
   ASSERT_TRUE(report.has_value());
   EXPECT_FALSE(report->accepted);
   EXPECT_TRUE(report->failed(AuditFailure::kAborted));

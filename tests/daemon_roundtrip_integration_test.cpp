@@ -166,6 +166,42 @@ TEST(DaemonRoundtrip, VantageAnswersPingOverTheWire) {
   EXPECT_EQ(pong.vantage_name, "sydney");
 }
 
+TEST(DaemonRoundtrip, MalformedMeasureGetsErrorReplyAndConnectionSurvives) {
+  ProverDaemon prover(small_prover());
+  VantageConfig config;
+  config.name = "local";
+  VantageDaemon vantage(config);
+  net::TcpRequestChannel channel("127.0.0.1", vantage.port());
+
+  MeasureRequest request;
+  request.prover_host = "127.0.0.1";
+  request.prover_port = prover.port();
+  request.file_id = prover.file_id();
+  request.n_segments = prover.n_segments();
+  request.rounds = 0;
+  request.probe_seed = 3;
+
+  // A zero-round request is answered with the reason, not a dropped
+  // connection.
+  const Bytes rejected = channel.request(encode(request));
+  ASSERT_EQ(type_of(rejected), MsgType::kErrorReply);
+  EXPECT_NE(decode_error_reply(rejected).message.find("rounds"),
+            std::string::npos);
+
+  // A truncated MeasureRequest that fails to decode is answered the same
+  // way.
+  const Bytes garbled = channel.request(Bytes{0x02, 0x01});
+  EXPECT_EQ(type_of(garbled), MsgType::kErrorReply);
+
+  // The same connection still serves a valid request.
+  request.rounds = 2;
+  const Bytes served = channel.request(encode(request));
+  ASSERT_EQ(type_of(served), MsgType::kSampleReport);
+  const SampleReport report = decode_sample_report(served);
+  EXPECT_TRUE(report.completed) << report.error;
+  EXPECT_EQ(report.rtt_ms.size(), 2u);
+}
+
 TEST(DaemonRoundtrip, TimingViolationsCountAgainstThreshold) {
   // A stalled prover pushes every round over a tight per-round budget.
   ProverConfig prover_config = small_prover();

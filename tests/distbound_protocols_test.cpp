@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <chrono>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "distbound/brands_chaum.hpp"
@@ -69,6 +72,21 @@ TEST(BitExchange, ToleranceAllowsNoisyBits) {
   EXPECT_EQ(res.bit_errors, 2u);
 }
 
+TEST(BitExchange, ZeroRoundsRejected) {
+  // An exchange of no rounds measures nothing and proves nothing; it must
+  // not come back accepted, whatever the responder answers.
+  SimClock clock;
+  Rng rng(12);
+  const BitResponder honest = [](unsigned, bool c) { return c; };
+  const BitResponder liar = [](unsigned, bool) { return false; };
+  EXPECT_THROW((void)run_bit_exchange(clock, Millis{0.1}, fast_params(0),
+                                      liar, honest, rng),
+               InvalidArgument);
+  EXPECT_THROW((void)run_hancke_kuhn(clock, Millis{0.1}, fast_params(0),
+                                     bytes_of("secret"), rng, &liar),
+               InvalidArgument);
+}
+
 TEST(BitExchange, UnpackBitsRoundTrip) {
   const Bytes data = {0b10110001, 0b00000001};
   const auto bits = unpack_bits(data, 10);
@@ -84,6 +102,83 @@ TEST(BitExchange, UnpackBitsRoundTrip) {
   EXPECT_TRUE(bits[8]);   // LSB of byte 1
   EXPECT_FALSE(bits[9]);
   EXPECT_THROW(unpack_bits(data, 17), InvalidArgument);
+}
+
+// Golden rounds: the exact records these seeds produce. Any change to the
+// per-round rng draw order (challenge, challenge flip, responder, response
+// flip) or to the latency arithmetic (each leg charged as
+// to_nanos(one_way)) shows up here as a changed bit or RTT.
+std::string bits(const ExchangeResult& res, bool RoundRecord::*field) {
+  std::string out;
+  for (const RoundRecord& r : res.rounds) out += r.*field ? '1' : '0';
+  return out;
+}
+
+std::vector<std::int64_t> rtt_ns(const ExchangeResult& res) {
+  std::vector<std::int64_t> out;
+  for (const RoundRecord& r : res.rounds) {
+    out.push_back(std::chrono::round<Nanos>(r.rtt).count());
+  }
+  return out;
+}
+
+TEST(BitExchangeGolden, HonestEcho) {
+  SimClock clock;
+  Rng rng(7);
+  const BitResponder echo = [](unsigned, bool c) { return c; };
+  // 0.1234567 ms truncates to 123456 ns per leg.
+  const ExchangeResult res = run_bit_exchange(
+      clock, Millis{0.1234567}, fast_params(16), echo, echo, rng);
+  EXPECT_EQ(bits(res, &RoundRecord::challenge), "0100001111000010");
+  EXPECT_EQ(bits(res, &RoundRecord::response), "0100001111000010");
+  EXPECT_EQ(rtt_ns(res), std::vector<std::int64_t>(16, 246912));
+  EXPECT_TRUE(res.accepted);
+  EXPECT_EQ(clock.now().count(), 3950592);
+}
+
+TEST(BitExchangeGolden, NoisyChannel) {
+  SimClock clock;
+  Rng rng(0x5eed);
+  ExchangeParams params = fast_params(24);
+  params.bit_flip_prob = 0.1;
+  params.max_bit_errors = 3;
+  const BitResponder echo = [](unsigned, bool c) { return c; };
+  const ExchangeResult res =
+      run_bit_exchange(clock, Millis{0.25}, params, echo, echo, rng);
+  EXPECT_EQ(bits(res, &RoundRecord::challenge), "001001111101010110011110");
+  EXPECT_EQ(bits(res, &RoundRecord::response), "001001101101010100001111");
+  EXPECT_EQ(rtt_ns(res), std::vector<std::int64_t>(24, 500000));
+  EXPECT_EQ(res.bit_errors, 4u);
+  EXPECT_FALSE(res.accepted);
+  EXPECT_EQ(clock.now().count(), 12000000);
+}
+
+TEST(BitExchangeGolden, ResponderAdvancesClockFromSharedRng) {
+  // The responder stalls by a draw from the verifier's own rng, so the
+  // pin also fixes where the responder sits in the draw order.
+  SimClock clock;
+  Rng rng(0xd1ce);
+  ExchangeParams params = fast_params(16);
+  params.bit_flip_prob = 0.05;
+  params.max_bit_errors = 16;
+  const BitResponder stalling = [&clock, &rng](unsigned round, bool c) {
+    clock.advance(Nanos{static_cast<std::int64_t>(rng.next_below(400000))});
+    return round % 5 == 4 ? !c : c;
+  };
+  const BitResponder echo = [](unsigned, bool c) { return c; };
+  const ExchangeResult res =
+      run_bit_exchange(clock, Millis{0.9}, params, stalling, echo, rng);
+  EXPECT_EQ(bits(res, &RoundRecord::challenge), "0010111111010101");
+  EXPECT_EQ(bits(res, &RoundRecord::response), "0001011110010111");
+  EXPECT_EQ(rtt_ns(res), (std::vector<std::int64_t>{
+                             2136437, 1892984, 2146012, 1849625, 1807890,
+                             1856743, 1916102, 2048370, 2106011, 1926522,
+                             2013749, 2043552, 1982860, 2040955, 1900236,
+                             1891467}));
+  EXPECT_EQ(std::chrono::round<Nanos>(res.max_rtt).count(), 2146012);
+  EXPECT_EQ(res.bit_errors, 5u);
+  EXPECT_EQ(res.timing_violations, 7u);
+  EXPECT_EQ(clock.now().count(), 31559515);
 }
 
 TEST(HanckeKuhn, HonestSessionAccepted) {
@@ -203,64 +298,6 @@ TEST(BrandsChaum, CommitmentBindsBits) {
   auto tampered = opening.m;
   tampered[0] = !tampered[0];
   EXPECT_NE(commit_bits(tampered, opening.opening_nonce), prover.commitment());
-}
-
-TEST(AsyncBitExchange, MatchesBlockingResultsExactly) {
-  // The blocking run_bit_exchange is now an adapter over the async
-  // session; an explicit session on a shared queue must reproduce it
-  // bit for bit (same rng draw order, same latency arithmetic).
-  const BitResponder echo = [](unsigned, bool c) { return c; };
-  SimClock clock_a;
-  Rng rng_a(7);
-  const ExchangeResult blocking = run_bit_exchange(
-      clock_a, Millis{0.5}, fast_params(16), echo, echo, rng_a);
-
-  SimClock clock_b;
-  EventQueue queue(clock_b);
-  Rng rng_b(7);
-  std::optional<ExchangeResult> async_result;
-  begin_bit_exchange(clock_b, queue, Millis{0.5}, fast_params(16), echo,
-                     echo, rng_b,
-                     [&](ExchangeResult&& r) { async_result = std::move(r); });
-  queue.run_all();
-  ASSERT_TRUE(async_result.has_value());
-  EXPECT_EQ(async_result->accepted, blocking.accepted);
-  EXPECT_EQ(async_result->bit_errors, blocking.bit_errors);
-  EXPECT_EQ(async_result->max_rtt.count(), blocking.max_rtt.count());
-  ASSERT_EQ(async_result->rounds.size(), blocking.rounds.size());
-  for (std::size_t i = 0; i < blocking.rounds.size(); ++i) {
-    EXPECT_EQ(async_result->rounds[i].challenge, blocking.rounds[i].challenge);
-    EXPECT_EQ(async_result->rounds[i].response, blocking.rounds[i].response);
-    EXPECT_EQ(async_result->rounds[i].rtt.count(),
-              blocking.rounds[i].rtt.count());
-  }
-}
-
-TEST(AsyncBitExchange, ManyExchangesOverlapOnOneQueue) {
-  // BFT-PoLoc-style mass delay measurement: 5 provers measured at once on
-  // one world. Overlapped, the whole batch costs one exchange of virtual
-  // time — and every round still times 2 x one_way exactly.
-  constexpr unsigned kProvers = 5;
-  constexpr unsigned kRounds = 12;
-  SimClock clock;
-  EventQueue queue(clock);
-  const BitResponder echo = [](unsigned, bool c) { return c; };
-
-  std::vector<Rng> rngs;
-  for (unsigned p = 0; p < kProvers; ++p) rngs.emplace_back(100 + p);
-  unsigned completed = 0;
-  for (unsigned p = 0; p < kProvers; ++p) {
-    begin_bit_exchange(clock, queue, Millis{0.5}, fast_params(kRounds), echo,
-                       echo, rngs[p], [&](ExchangeResult&& r) {
-                         EXPECT_TRUE(r.accepted);
-                         EXPECT_NEAR(r.max_rtt.count(), 1.0, 1e-9);
-                         ++completed;
-                       });
-  }
-  queue.run_all();
-  EXPECT_EQ(completed, kProvers);
-  // One exchange's virtual time, not kProvers of them.
-  EXPECT_NEAR(to_millis(clock.now()).count(), kRounds * 1.0, 1e-9);
 }
 
 TEST(BrandsChaum, TranscriptBytesEncodeBothBits) {

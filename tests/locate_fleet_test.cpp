@@ -1,5 +1,5 @@
 // End-to-end vantage-fleet sweeps: deterministic measurement through the
-// rapid-bit-exchange plane, delay-model conversion, Byzantine-robust
+// rapid bit exchange, delay-model conversion, Byzantine-robust
 // multilateration, and the concurrent form on the sharded engine's parked
 // workers. This suite runs under TSan in CI (the run_on_shards fan-out
 // writes disjoint observation slots from many worker threads).
@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "locate/measurement.hpp"
@@ -141,6 +144,38 @@ TEST(VantageFleet, ByzantineVantagesAreRejected) {
   EXPECT_LT(sweep.error_vs_actual.value, fleet.honest_error_bound().value);
 }
 
+TEST(VantageFleet, GoldenSweepWithLiarAndRelay) {
+  // Golden values: the exact per-vantage measurements and fix these seeds
+  // produce. Any change to the probe's rng draw order or latency
+  // arithmetic moves a Nanos value here; the fix only moves if the
+  // measurements do.
+  FleetOptions opts = base_options(8);
+  opts.lies.push_back(VantageLie{5, Millis{18.0}});
+  const VantageFleet fleet(opts);
+  ProverConfig relayed = honest_prover();
+  relayed.behaviour = ProverBehaviour::kRelayed;
+  relayed.actual =
+      net::destination(relayed.claimed, 315.0, Kilometers{1400.0});
+  const FleetSweep sweep = fleet.sweep(relayed);
+
+  std::vector<std::int64_t> min_ns;
+  std::vector<std::int64_t> elapsed_ns;
+  for (const VantageObservation& obs : sweep.observations) {
+    min_ns.push_back(std::chrono::round<Nanos>(obs.stats.min).count());
+    elapsed_ns.push_back(std::chrono::round<Nanos>(obs.probe_elapsed).count());
+  }
+  EXPECT_EQ(min_ns, (std::vector<std::int64_t>{62114184, 69336148, 68124068,
+                                               73770432, 78246830, 77205918,
+                                               85439070, 85791180}));
+  EXPECT_EQ(elapsed_ns,
+            (std::vector<std::int64_t>{1001432160, 1112443166, 1102107156,
+                                       1190857496, 1270741039, 1242514010,
+                                       1368668033, 1380874707}));
+  EXPECT_EQ(sweep.observations[5].reported_rtt.count(), 18.0);
+  EXPECT_NEAR(sweep.estimate.position.lat_deg, -14.213072382247, 1e-9);
+  EXPECT_NEAR(sweep.estimate.position.lon_deg, 134.592961381909, 1e-9);
+}
+
 TEST(VantageFleet, ObserveTranscriptExportsAuditRtts) {
   core::AuditTranscript transcript;
   transcript.rtts = {Millis{21.0}, Millis{19.5}, Millis{24.0}};
@@ -153,16 +188,14 @@ TEST(VantageFleet, ObserveTranscriptExportsAuditRtts) {
   EXPECT_NEAR(transcript.min_rtt().count(), 19.5, 1e-12);
 }
 
-TEST(MeasurementPlane, ProbeChargesTheExpectedVirtualTime) {
+TEST(Probe, ChargesTheExpectedVirtualTime) {
   SimClock clock;
-  EventQueue queue(clock);
-  MeasurementPlane plane(clock, queue);
   Rng rng(7);
   ProbeParams params;
   params.rounds = 8;
   const geoloc::Landmark vantage{"v", net::places::brisbane()};
   const VantageObservation obs =
-      plane.probe(vantage, Millis{5.0}, nullptr, params, rng);
+      probe(clock, vantage, Millis{5.0}, nullptr, params, rng);
   ASSERT_TRUE(obs.completed);
   EXPECT_EQ(obs.stats.count, 8u);
   // No responder delay: every round is exactly 2 * one_way.
@@ -172,7 +205,7 @@ TEST(MeasurementPlane, ProbeChargesTheExpectedVirtualTime) {
   EXPECT_EQ(obs.timing_violations, 0u);
 }
 
-TEST(MeasurementPlane, SampleStatsOrderStatistics) {
+TEST(SampleStats, OrderStatistics) {
   const std::vector<Millis> samples = {Millis{4.0}, Millis{1.0}, Millis{3.0},
                                        Millis{2.0}};
   const SampleStats stats = SampleStats::of(samples);
