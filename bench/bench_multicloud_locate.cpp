@@ -7,12 +7,23 @@
 //   relay_radius_km     - median confidence radius the relay attack earns
 //   byz_reject_accuracy - fraction of lying vantages ejected (median)
 //   byz_false_reject    - honest vantages wrongly ejected (median count)
+//
+// BM_MultilateratorEstimate is the locate layer's own row: one
+// Multilaterator::estimate over fixed ranges (no probing, no engine), an
+// eighth of them lying, so solver cost shows without measurement cost.
+//   items_per_second    - estimates per second
+//   err_km              - fix error against the true position
+//   outliers            - vantages the fix ejected
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/sharded_engine.hpp"
+#include "geoloc/schemes.hpp"
 #include "locate/fleet.hpp"
+#include "locate/multilaterate.hpp"
 #include "net/geo.hpp"
 
 namespace {
@@ -86,6 +97,47 @@ void BM_MulticloudLocate(benchmark::State& state) {
       benchmark::Counter(median(std::move(false_rejects)));
 }
 BENCHMARK(BM_MulticloudLocate)->Arg(50)->Arg(100)->Arg(200)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_MultilateratorEstimate(benchmark::State& state) {
+  const unsigned vantages = static_cast<unsigned>(state.range(0));
+  const net::GeoPoint center = net::places::brisbane();
+  const net::GeoPoint truth =
+      net::destination(center, 75.0, Kilometers{250.0});
+  // Honest ranges carry +-10 km of seeded error; liars (an eighth, from
+  // the outer rings, at least one) add 900 km.
+  Rng rng(0x5017e);
+  std::vector<VantageRange> ranges;
+  for (const geoloc::Landmark& lm :
+       geoloc::spiral_landmarks(center, Kilometers{1800.0}, vantages)) {
+    VantageRange r;
+    r.vantage = lm;
+    r.distance = Kilometers{net::haversine(lm.pos, truth).value +
+                            20.0 * (rng.next_double() - 0.5)};
+    r.sigma = Kilometers{20.0};
+    ranges.push_back(r);
+  }
+  const std::size_t liars = std::max<std::size_t>(1, vantages / 8);
+  for (std::size_t k = 0; k < liars; ++k) {
+    VantageRange& r = ranges[vantages - 1 - 2 * k];
+    r.distance = Kilometers{r.distance.value + 900.0};
+  }
+
+  const Multilaterator solver;
+  PositionEstimate est;
+  for (auto _ : state) {
+    est = solver.estimate(ranges);
+    benchmark::DoNotOptimize(est.position);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["vantages"] =
+      benchmark::Counter(static_cast<double>(vantages));
+  state.counters["err_km"] =
+      benchmark::Counter(net::haversine(est.position, truth).value);
+  state.counters["outliers"] =
+      benchmark::Counter(static_cast<double>(est.outliers.size()));
+}
+BENCHMARK(BM_MultilateratorEstimate)->Arg(8)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

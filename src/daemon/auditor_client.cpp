@@ -183,6 +183,12 @@ void AuditorClient::estimate(FleetReport& fleet) const {
     const locate::VantageObservation obs = observation_of(outcome.report);
     const locate::VantageRange range =
         model.range_for(obs.vantage, obs.reported_rtt, obs.stats);
+    if (!range.solvable()) {
+      // Finite samples can still overflow the range (e.g. their variance):
+      // this vantage's evidence is unusable, not the whole fleet's.
+      outcome.error = "samples give a non-finite range";
+      continue;
+    }
     outcome.distance = range.distance;
     outcome.sigma = range.sigma;
     ranges.push_back(range);

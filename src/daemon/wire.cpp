@@ -1,5 +1,7 @@
 #include "daemon/wire.hpp"
 
+#include <cmath>
+
 #include "common/errors.hpp"
 #include "common/serialize.hpp"
 
@@ -10,6 +12,16 @@ namespace {
 // Sample vectors are auditor-bounded (rounds <= a few hundred); reject
 // anything a hostile peer could use to balloon allocation.
 constexpr std::uint32_t kMaxSamples = 1u << 16;
+
+/// A measured or advertised quantity a vantage reports: NaN or infinity
+/// would flow through the delay model into a NaN range.
+double finite_f64(ByteReader& reader) {
+  const double v = reader.f64();
+  if (!std::isfinite(v)) {
+    throw SerializeError("daemon wire: non-finite value in sample report");
+  }
+  return v;
+}
 
 void check_type(ByteReader& reader, MsgType expected) {
   const auto got = reader.u8();
@@ -121,8 +133,8 @@ SampleReport decode_sample_report(BytesView frame) {
   check_type(r, MsgType::kSampleReport);
   SampleReport msg;
   msg.vantage_name = r.str();
-  msg.latitude_deg = r.f64();
-  msg.longitude_deg = r.f64();
+  msg.latitude_deg = finite_f64(r);
+  msg.longitude_deg = finite_f64(r);
   const auto completed = r.u8();
   if (completed > 1) {
     throw SerializeError("daemon wire: non-canonical bool");
@@ -134,9 +146,9 @@ SampleReport decode_sample_report(BytesView frame) {
     throw SerializeError("daemon wire: sample count exceeds cap");
   }
   msg.rtt_ms.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) msg.rtt_ms.push_back(r.f64());
+  for (std::uint32_t i = 0; i < n; ++i) msg.rtt_ms.push_back(finite_f64(r));
   msg.timing_violations = r.u32();
-  msg.elapsed_ms = r.f64();
+  msg.elapsed_ms = finite_f64(r);
   r.expect_done();
   return msg;
 }

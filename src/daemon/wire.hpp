@@ -93,7 +93,8 @@ Bytes encode(const SampleReport& msg);
 Bytes encode(const ErrorReply& msg);
 
 /// Each decode checks the selector and consumes the whole frame; throws
-/// SerializeError on mismatch, truncation or trailing bytes.
+/// SerializeError on mismatch, truncation or trailing bytes, and
+/// decode_sample_report also on a non-finite position, RTT or elapsed time.
 Ping decode_ping(BytesView frame);
 Pong decode_pong(BytesView frame);
 MeasureRequest decode_measure_request(BytesView frame);

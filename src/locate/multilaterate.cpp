@@ -33,6 +33,8 @@ Multilaterator::Multilaterator(Options options) : options_(options) {
 
 namespace {
 
+constexpr double kDeg = std::numbers::pi / 180.0;
+
 struct BoundingBox {
   double lat_min, lat_max, lon_min, lon_max;
 };
@@ -52,7 +54,7 @@ BoundingBox coverage_box(std::span<const VantageRange> ranges,
   // its ~real hull, not a 360°-wide box that would both wreck the coarse
   // grid's resolution and re-admit the far-field runaway this constraint
   // exists to exclude. Candidate points may end up with lon outside
-  // [-180, 180) — haversine is periodic in longitude, so every cost
+  // [-180, 180) — unit vectors are periodic in longitude, so every cost
   // evaluation stays correct; the final estimate is re-normalised by the
   // caller.
   const double lon_ref = ranges[active.front()].vantage.pos.lon_deg;
@@ -101,7 +103,6 @@ double refit_weight_floor(std::span<const VantageRange> ranges,
 
 /// Initial bearing from `from` to `to`, radians east of north.
 double bearing_rad(const GeoPoint& from, const GeoPoint& to) {
-  constexpr double kDeg = std::numbers::pi / 180.0;
   const double lat1 = from.lat_deg * kDeg, lat2 = to.lat_deg * kDeg;
   const double dlon = (to.lon_deg - from.lon_deg) * kDeg;
   const double y = std::sin(dlon) * std::cos(lat2);
@@ -179,52 +180,124 @@ ErrorEllipse refit_ellipse(std::span<const VantageRange> ranges,
   return out;
 }
 
-}  // namespace
+/// A point's direction from the Earth's centre (ECEF, unit length). Between
+/// two of these the great-circle distance is 2R·asin(chord / 2) — one
+/// sqrt and one asin, against haversine's four sines, two cosines, two
+/// square roots and an atan2 — and the chord form stays well-conditioned
+/// at short range, where acos of the dot product does not.
+struct UnitVec {
+  double x, y, z;
+};
 
-double ErrorEllipse::area_km2() const {
-  return std::numbers::pi * semi_major.value * semi_minor.value;
+UnitVec unit_vector(const GeoPoint& p) {
+  const double lat = p.lat_deg * kDeg, lon = p.lon_deg * kDeg;
+  return {std::cos(lat) * std::cos(lon), std::cos(lat) * std::sin(lon),
+          std::sin(lat)};
 }
 
-GeoPoint Multilaterator::grid_search(
+double chord_distance_km(const UnitVec& a, const UnitVec& b) {
+  const double dx = a.x - b.x, dy = a.y - b.y, dz = a.z - b.z;
+  // min(): rounding can push an antipodal chord a hair past the diameter.
+  const double half_chord = 0.5 * std::sqrt(dx * dx + dy * dy + dz * dz);
+  return 2.0 * net::kEarthRadiusKm * std::asin(std::min(1.0, half_chord));
+}
+
+/// One active vantage as the cost functions see it, computed once per
+/// solve: its unit vector, its claimed distance and (refit only) the
+/// reciprocal of its weight.
+struct VantageVec {
+  UnitVec u;
+  double distance_km;
+  double inv_weight = 1.0;
+};
+
+std::vector<VantageVec> vantage_vectors(
     std::span<const VantageRange> ranges,
-    const std::vector<std::size_t>& active,
-    const std::function<double(const GeoPoint&)>& cost) const {
+    const std::vector<std::size_t>& active) {
+  std::vector<VantageVec> out;
+  out.reserve(active.size());
+  for (const std::size_t i : active) {
+    out.push_back({unit_vector(ranges[i].vantage.pos),
+                   ranges[i].distance.value});
+  }
+  return out;
+}
+
+/// One grid level's candidates: the row latitudes and column longitudes
+/// with their sines and cosines, so a candidate's unit vector costs three
+/// products. The coordinates are exactly the grid's
+/// `box.lat_min + gy * dlat` / `box.lon_min + gx * dlon`.
+class GridLevel {
+ public:
+  explicit GridLevel(unsigned grid)
+      : grid_(grid), rows_(grid + 1), cols_(grid + 1) {}
+
+  void fill(const BoundingBox& box) {
+    dlat_ = (box.lat_max - box.lat_min) / grid_;
+    dlon_ = (box.lon_max - box.lon_min) / grid_;
+    for (unsigned g = 0; g <= grid_; ++g) {
+      rows_[g] = Axis::at(box.lat_min + g * dlat_);
+      cols_[g] = Axis::at(box.lon_min + g * dlon_);
+    }
+  }
+
+  double dlat() const { return dlat_; }
+  double dlon() const { return dlon_; }
+  GeoPoint point(unsigned gy, unsigned gx) const {
+    return {rows_[gy].deg, cols_[gx].deg};
+  }
+  UnitVec unit(unsigned gy, unsigned gx) const {
+    return {rows_[gy].cos * cols_[gx].cos, rows_[gy].cos * cols_[gx].sin,
+            rows_[gy].sin};
+  }
+
+ private:
+  struct Axis {
+    double deg, sin, cos;
+    static Axis at(double deg) {
+      return {deg, std::sin(deg * kDeg), std::cos(deg * kDeg)};
+    }
+  };
+  unsigned grid_;
+  std::vector<Axis> rows_, cols_;
+  double dlat_ = 0.0, dlon_ = 0.0;
+};
+
+/// Coarse-to-fine search of `coarse` for the minimum of `cost`, a functor
+/// over candidate unit vectors (a template parameter so the cost inlines
+/// into the grid loops).
+template <typename Cost>
+GeoPoint grid_search(const BoundingBox& coarse, unsigned grid,
+                     unsigned refinements, const Cost& cost) {
   // The robust (median) cost surface is multi-modal: a minority of
   // coincidentally-consistent circles can carve a second near-zero basin.
   // A single coarse-to-fine descent may commit to the wrong one, so keep
   // the best kBeam coarse cells and refine each; the true basin's lower
   // floor wins the final comparison.
   constexpr std::size_t kBeam = 5;
-  const BoundingBox coarse = coverage_box(ranges, active);
-  const double coarse_dlat = (coarse.lat_max - coarse.lat_min) / options_.grid;
-  const double coarse_dlon = (coarse.lon_max - coarse.lon_min) / options_.grid;
+  GridLevel level(grid);
+  level.fill(coarse);
+  const double coarse_dlat = level.dlat();
+  const double coarse_dlon = level.dlon();
 
   struct Candidate {
     double cost;
     GeoPoint point;
   };
+  const auto by_cost = [](const Candidate& a, const Candidate& b) {
+    return a.cost < b.cost;
+  };
   std::vector<Candidate> beam;
-  for (unsigned gy = 0; gy <= options_.grid; ++gy) {
-    for (unsigned gx = 0; gx <= options_.grid; ++gx) {
-      const GeoPoint p{coarse.lat_min + gy * coarse_dlat,
-                       coarse.lon_min + gx * coarse_dlon};
-      const Candidate c{cost(p), p};
+  for (unsigned gy = 0; gy <= grid; ++gy) {
+    for (unsigned gx = 0; gx <= grid; ++gx) {
+      const Candidate c{cost(level.unit(gy, gx)), level.point(gy, gx)};
       if (beam.size() < kBeam) {
         beam.push_back(c);
-        std::push_heap(beam.begin(), beam.end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.cost < b.cost;
-                       });
+        std::push_heap(beam.begin(), beam.end(), by_cost);
       } else if (c.cost < beam.front().cost) {
-        std::pop_heap(beam.begin(), beam.end(),
-                      [](const Candidate& a, const Candidate& b) {
-                        return a.cost < b.cost;
-                      });
+        std::pop_heap(beam.begin(), beam.end(), by_cost);
         beam.back() = c;
-        std::push_heap(beam.begin(), beam.end(),
-                      [](const Candidate& a, const Candidate& b) {
-                        return a.cost < b.cost;
-                      });
+        std::push_heap(beam.begin(), beam.end(), by_cost);
       }
     }
   }
@@ -240,19 +313,18 @@ GeoPoint Multilaterator::grid_search(
                     local.lat_deg + 1.5 * coarse_dlat,
                     local.lon_deg - 1.5 * coarse_dlon,
                     local.lon_deg + 1.5 * coarse_dlon};
-    for (unsigned level = 1; level <= options_.refinements; ++level) {
-      const double dlat = (box.lat_max - box.lat_min) / options_.grid;
-      const double dlon = (box.lon_max - box.lon_min) / options_.grid;
-      for (unsigned gy = 0; gy <= options_.grid; ++gy) {
-        for (unsigned gx = 0; gx <= options_.grid; ++gx) {
-          const GeoPoint p{box.lat_min + gy * dlat, box.lon_min + gx * dlon};
-          const double c = cost(p);
+    for (unsigned depth = 1; depth <= refinements; ++depth) {
+      level.fill(box);
+      for (unsigned gy = 0; gy <= grid; ++gy) {
+        for (unsigned gx = 0; gx <= grid; ++gx) {
+          const double c = cost(level.unit(gy, gx));
           if (c < local_cost) {
             local_cost = c;
-            local = p;
+            local = level.point(gy, gx);
           }
         }
       }
+      const double dlat = level.dlat(), dlon = level.dlon();
       box = BoundingBox{local.lat_deg - 1.5 * dlat, local.lat_deg + 1.5 * dlat,
                         local.lon_deg - 1.5 * dlon,
                         local.lon_deg + 1.5 * dlon};
@@ -263,6 +335,17 @@ GeoPoint Multilaterator::grid_search(
     }
   }
   return best;
+}
+
+}  // namespace
+
+bool VantageRange::solvable() const {
+  return std::isfinite(distance.value) && distance.value >= 0.0 &&
+         std::isfinite(sigma.value) && sigma.value >= 0.0;
+}
+
+double ErrorEllipse::area_km2() const {
+  return std::numbers::pi * semi_major.value * semi_minor.value;
 }
 
 GeoPoint Multilaterator::solve_robust(std::span<const VantageRange> ranges,
@@ -281,20 +364,21 @@ GeoPoint Multilaterator::solve_robust(std::span<const VantageRange> ranges,
       std::min(active.size() - 1,
                std::max(active.size() / 2,
                         min_inliers > 0 ? min_inliers - 1 : 0));
-  std::vector<double> scratch;
-  scratch.reserve(active.size());
-  return grid_search(ranges, active, [&](const GeoPoint& p) {
-    scratch.clear();
-    for (const std::size_t i : active) {
+  const std::vector<VantageVec> vantages = vantage_vectors(ranges, active);
+  std::vector<double> scratch(vantages.size());
+  const auto lqs = [&](const UnitVec& p) {
+    for (std::size_t k = 0; k < vantages.size(); ++k) {
       const double err =
-          haversine(ranges[i].vantage.pos, p).value - ranges[i].distance.value;
-      scratch.push_back(err * err);
+          chord_distance_km(vantages[k].u, p) - vantages[k].distance_km;
+      scratch[k] = err * err;
     }
     std::nth_element(scratch.begin(),
                      scratch.begin() + static_cast<std::ptrdiff_t>(quantile),
                      scratch.end());
     return scratch[quantile];
-  });
+  };
+  return grid_search(coverage_box(ranges, active), options_.grid,
+                     options_.refinements, lqs);
 }
 
 GeoPoint Multilaterator::solve_refine(
@@ -306,23 +390,36 @@ GeoPoint Multilaterator::solve_refine(
   // *claims* near-zero uncertainty (the obvious play for dominating a
   // weighted fit) gets no more say than the majority's typical confidence.
   const double weight_floor = refit_weight_floor(ranges, active);
-  return grid_search(ranges, active, [&](const GeoPoint& p) {
+  std::vector<VantageVec> vantages = vantage_vectors(ranges, active);
+  for (std::size_t k = 0; k < vantages.size(); ++k) {
+    vantages[k].inv_weight =
+        1.0 / std::max(ranges[active[k]].sigma.value, weight_floor);
+  }
+  const auto weighted_ls = [&](const UnitVec& p) {
     double cost = 0.0;
-    for (const std::size_t i : active) {
-      const VantageRange& r = ranges[i];
-      const double weight_km = std::max(r.sigma.value, weight_floor);
+    for (const VantageVec& v : vantages) {
       const double err =
-          (haversine(r.vantage.pos, p).value - r.distance.value) / weight_km;
+          (chord_distance_km(v.u, p) - v.distance_km) * v.inv_weight;
       cost += err * err;
     }
     return cost;
-  });
+  };
+  return grid_search(coverage_box(ranges, active), options_.grid,
+                     options_.refinements, weighted_ls);
 }
 
 PositionEstimate Multilaterator::estimate(
     std::span<const VantageRange> ranges) const {
   if (ranges.size() < 3) {
     throw InvalidArgument("Multilaterator: need >= 3 vantage ranges");
+  }
+  // A NaN range would poison every cost (and nth_element's ordering) and
+  // drag the fix to the grid's first cell with nobody trimmed.
+  for (const VantageRange& r : ranges) {
+    if (!r.solvable()) {
+      throw InvalidArgument(
+          "Multilaterator: distance and sigma must be finite and >= 0");
+    }
   }
   const std::size_t n = ranges.size();
   const std::size_t min_inliers = static_cast<std::size_t>(

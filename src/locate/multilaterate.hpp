@@ -16,10 +16,18 @@
 // trimmed — instead the residuals, and therefore the confidence radius,
 // inflate: the estimate honestly reports that the fleet cannot pin the
 // prover down.
+//
+// Cost: each fit is a coarse-to-fine grid search — with the default
+// Options a 33x33 coarse grid, then the best 5 cells refined 5 levels
+// deep, ~28k cost evaluations — run once per trim round plus a refit.
+// Each evaluation is one chord distance per active vantage: vantages are
+// ECEF unit vectors computed once per fit, each grid level tabulates its
+// row and column sines/cosines, and the distance is 2R·asin(|a − p| / 2),
+// so the inner loop runs no trigonometry beyond one asin. estimate() is a pure
+// function of its input: no state survives between calls.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -35,6 +43,11 @@ struct VantageRange {
   geoloc::Landmark vantage;
   Kilometers distance{0.0};
   Kilometers sigma{0.0};
+
+  /// Distance and sigma are finite and >= 0: the solver's precondition.
+  /// Finite but huge RTTs can still overflow DelayModel::range_for, so
+  /// callers ranging untrusted reports drop a range that fails this.
+  bool solvable() const;
 };
 
 /// Error ellipse of the weighted-LS refit, from the 2x2 covariance of the
@@ -99,16 +112,13 @@ class Multilaterator {
   Multilaterator();
   explicit Multilaterator(Options options);
 
-  /// Estimate from >= 3 vantage ranges. Throws InvalidArgument on fewer.
+  /// Estimate from >= 3 vantage ranges. Throws InvalidArgument on fewer,
+  /// or on any distance or sigma that is not finite and >= 0.
   PositionEstimate estimate(std::span<const VantageRange> ranges) const;
 
   const Options& options() const { return options_; }
 
  private:
-  net::GeoPoint grid_search(
-      std::span<const VantageRange> ranges,
-      const std::vector<std::size_t>& active,
-      const std::function<double(const net::GeoPoint&)>& cost) const;
   /// Least-quantile-of-squares fit at the majority floor, used inside the
   /// trim loop (the best position explaining a 2f+1-of-3f+1 majority).
   net::GeoPoint solve_robust(std::span<const VantageRange> ranges,

@@ -7,7 +7,6 @@
 namespace geoproof::net {
 
 Kilometers haversine(const GeoPoint& a, const GeoPoint& b) {
-  constexpr double kEarthRadiusKm = 6371.0;
   const double to_rad = std::numbers::pi / 180.0;
   const double phi1 = a.lat_deg * to_rad;
   const double phi2 = b.lat_deg * to_rad;
@@ -22,7 +21,6 @@ Kilometers haversine(const GeoPoint& a, const GeoPoint& b) {
 
 GeoPoint destination(const GeoPoint& from, double bearing_deg,
                      Kilometers distance) {
-  constexpr double kEarthRadiusKm = 6371.0;
   const double to_rad = std::numbers::pi / 180.0;
   const double delta = distance.value / kEarthRadiusKm;  // angular distance
   const double theta = bearing_deg * to_rad;

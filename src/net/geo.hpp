@@ -10,6 +10,9 @@
 
 namespace geoproof::net {
 
+/// Mean Earth radius of the spherical model every distance here uses.
+inline constexpr double kEarthRadiusKm = 6371.0;
+
 struct GeoPoint {
   double lat_deg = 0.0;
   double lon_deg = 0.0;

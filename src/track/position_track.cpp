@@ -1,6 +1,7 @@
 #include "track/position_track.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,8 @@ PositionTrack::PositionTrack(locate::DelayModel model, TrackOptions options)
 }
 
 void PositionTrack::ingest(const locate::VantageObservation& obs) {
-  if (!obs.completed) {
+  // A NaN RTT would sit in the window and turn every later range NaN.
+  if (!obs.completed || !std::isfinite(obs.reported_rtt.count())) {
     ++incomplete_;
     return;
   }
@@ -53,8 +55,12 @@ std::optional<RelocationAlarm> PositionTrack::commit_sweep(
   ranges.reserve(vantages_.size());
   for (const auto& [name, state] : vantages_) {
     if (state.window.empty()) continue;
-    ranges.push_back(model_.range_for(state.vantage, state.window.min(),
-                                      state.window.stats()));
+    locate::VantageRange range = model_.range_for(
+        state.vantage, state.window.min(), state.window.stats());
+    // A huge (finite) RTT in the window overflows its variance; the vantage
+    // sits out until that sample ages out rather than end the track.
+    if (!range.solvable()) continue;
+    ranges.push_back(std::move(range));
   }
   if (ranges.size() < options_.min_vantages) return std::nullopt;
 

@@ -65,7 +65,8 @@ class PositionTrack {
       : PositionTrack(std::move(model), TrackOptions{}) {}
 
   /// Record one vantage's observation for the in-progress sweep.
-  /// Incomplete observations (failed probe) are counted but not windowed.
+  /// Incomplete observations (failed probe, or a non-finite RTT) are
+  /// counted but not windowed.
   void ingest(const locate::VantageObservation& obs);
 
   /// Close the sweep: re-solve from the current windows and feed the

@@ -17,6 +17,7 @@
 #include "daemon/prover_daemon.hpp"
 #include "daemon/vantage_daemon.hpp"
 #include "daemon/wire.hpp"
+#include "geoloc/schemes.hpp"
 #include "net/geo.hpp"
 #include "net/tcp.hpp"
 
@@ -153,6 +154,35 @@ TEST(DaemonRoundtrip, DeadVantageDoesNotBlockTheAudit) {
   EXPECT_FALSE(report.outcomes[3].responded);
   EXPECT_FALSE(report.outcomes[3].error.empty());
   EXPECT_LT(net::haversine(report.estimate.position, kTruth).value, 300.0);
+}
+
+TEST(DaemonRoundtrip, OverflowingRttVantageDoesNotDenyTheFix) {
+  // Finite RTTs pass the decoder, but {1.0, 1e200} overflows the sample
+  // variance: the vantage's range comes out with an infinite sigma. Fed
+  // straight to the estimation step, that vantage must not cost the rest
+  // of the fleet its fix.
+  AuditorConfig config;
+  config.cal_ms_per_km = kRttMsPerKm;
+  const auto sites =
+      geoloc::spiral_landmarks(kTruth, Kilometers{1500.0}, 8);
+  constexpr std::size_t kHostile = 3;
+  FleetReport fleet;
+  for (std::size_t v = 0; v < sites.size(); ++v) {
+    VantageOutcome outcome;
+    outcome.responded = true;
+    outcome.report.vantage_name = sites[v].name;
+    outcome.report.latitude_deg = sites[v].pos.lat_deg;
+    outcome.report.longitude_deg = sites[v].pos.lon_deg;
+    outcome.report.completed = true;
+    const double rtt = kRttMsPerKm * net::haversine(sites[v].pos, kTruth).value;
+    outcome.report.rtt_ms = {rtt, rtt + 0.2, rtt + 0.1};
+    if (v == kHostile) outcome.report.rtt_ms = {1.0, 1e200};
+    fleet.outcomes.push_back(outcome);
+  }
+
+  ASSERT_NO_THROW(AuditorClient(config).estimate(fleet));
+  ASSERT_TRUE(fleet.have_estimate);
+  EXPECT_LT(net::haversine(fleet.estimate.position, kTruth).value, 50.0);
 }
 
 TEST(DaemonRoundtrip, VantageAnswersPingOverTheWire) {

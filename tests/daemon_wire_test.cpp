@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/errors.hpp"
 
 namespace geoproof::daemon {
@@ -106,6 +108,39 @@ TEST(DaemonWire, RejectsNonCanonicalBool) {
   ASSERT_EQ(wire[completed_at], 0);
   wire[completed_at] = 2;
   EXPECT_THROW(decode_sample_report(wire), SerializeError);
+}
+
+TEST(DaemonWire, RejectsNonFiniteSampleReportValues) {
+  // A NaN RTT would reach the solver as a NaN distance; the decoder is
+  // where an auditor turns it into that vantage's error instead.
+  SampleReport good;
+  good.vantage_name = "sydney";
+  good.latitude_deg = -33.87;
+  good.longitude_deg = 151.21;
+  good.completed = true;
+  good.rtt_ms = {12.5, 12.75};
+  good.elapsed_ms = 25.25;
+  ASSERT_NO_THROW(decode_sample_report(encode(good)));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](const SampleReport& bad) {
+    EXPECT_THROW(decode_sample_report(encode(bad)), SerializeError);
+  };
+  for (const double v : {nan, inf, -inf}) {
+    SampleReport bad = good;
+    bad.rtt_ms[1] = v;
+    rejects(bad);
+    bad = good;
+    bad.latitude_deg = v;
+    rejects(bad);
+    bad = good;
+    bad.longitude_deg = v;
+    rejects(bad);
+    bad = good;
+    bad.elapsed_ms = v;
+    rejects(bad);
+  }
 }
 
 TEST(DaemonWire, RejectsSampleCountBeyondCap) {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -132,6 +133,65 @@ TEST(TrackService, TracksFencesAndAlarmsThroughTheServiceSurface) {
   EXPECT_EQ(stats.alarms, 1u);
   EXPECT_GE(stats.fixes, 58u);
   EXPECT_GT(stats.epoch, 0u);
+}
+
+TEST(TrackService, NaNRttVantageIsCountedIncompleteNotWindowed) {
+  // One vantage starts reporting NaN RTTs mid-run. Windowed, the NaN
+  // would fill its window, become a NaN range and drag the fix away —
+  // raising a relocation alarm on a provider that never moved.
+  Rng rng(0x4a4e);
+  const GeoPoint center{-27.5, 153.0};
+  const auto fleet = geoloc::spiral_landmarks(center, Kilometers{1500.0}, 8);
+  const GeoPoint home = destination(center, 120.0, Kilometers{180.0});
+
+  TrackService service;
+  const std::uint64_t id = service.add("prover", exact_model());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::uint64_t sweep = 1; sweep <= 16; ++sweep) {
+    for (std::size_t v = 0; v < fleet.size(); ++v) {
+      locate::VantageObservation obs = observe(fleet[v], home, rng);
+      if (v == 3 && sweep > 6) obs.reported_rtt = Millis{nan};
+      service.record(id, obs);
+    }
+    EXPECT_TRUE(service.commit_sweep(sweep).empty()) << "sweep " << sweep;
+  }
+
+  const TrackService::Report report = service.report(id);
+  EXPECT_EQ(report.alarms, 0u);
+  EXPECT_EQ(report.fixes, 16u);
+  ASSERT_TRUE(report.fix.has_value());
+  EXPECT_TRUE(report.fix->estimate.converged);
+  EXPECT_LT(haversine(report.fix->estimate.position, home).value, 60.0);
+}
+
+TEST(TrackService, OverflowingRttWindowDoesNotEndTheTrack) {
+  // A finite but huge RTT passes ingest, then overflows the window's
+  // variance: that vantage's range gets an infinite sigma. The track must
+  // keep solving from the other vantages rather than throw out of
+  // commit_sweep.
+  Rng rng(0x0f10);
+  const GeoPoint center{-27.5, 153.0};
+  const auto fleet = geoloc::spiral_landmarks(center, Kilometers{1500.0}, 8);
+  const GeoPoint home = destination(center, 120.0, Kilometers{180.0});
+
+  TrackService service;
+  const std::uint64_t id = service.add("prover", exact_model());
+  for (std::uint64_t sweep = 1; sweep <= 12; ++sweep) {
+    for (std::size_t v = 0; v < fleet.size(); ++v) {
+      locate::VantageObservation obs = observe(fleet[v], home, rng);
+      if (v == 3 && sweep == 6) obs.reported_rtt = Millis{1e200};
+      service.record(id, obs);
+    }
+    std::vector<TrackService::ProviderAlarm> alarms;
+    ASSERT_NO_THROW(alarms = service.commit_sweep(sweep)) << "sweep " << sweep;
+    EXPECT_TRUE(alarms.empty()) << "sweep " << sweep;
+  }
+
+  const TrackService::Report report = service.report(id);
+  EXPECT_EQ(report.alarms, 0u);
+  EXPECT_EQ(report.fixes, 12u);
+  ASSERT_TRUE(report.fix.has_value());
+  EXPECT_LT(haversine(report.fix->estimate.position, home).value, 60.0);
 }
 
 TEST(TrackService, AuditHookFoldsEngineReportsIntoSla) {
