@@ -1,13 +1,11 @@
 // The verifier device's GPS receiver, including the spoofing surface the
 // paper discusses (§V-C: "GPS satellite simulators can spoof the GPS
-// signal") and the landmark-triangulation cross-check it proposes as the
-// countermeasure.
+// signal"). The landmark-triangulation cross-check it proposes as the
+// countermeasure is locate::verify_position_by_triangulation.
 #pragma once
 
 #include <optional>
 
-#include "common/units.hpp"
-#include "geoloc/schemes.hpp"
 #include "net/geo.hpp"
 
 namespace geoproof::core {
@@ -33,19 +31,5 @@ class GpsDevice {
   net::GeoPoint true_position_;
   std::optional<net::GeoPoint> spoofed_;
 };
-
-struct TriangulationCheck {
-  bool consistent = false;
-  Kilometers discrepancy{0};  // distance between claim and triangulated fix
-};
-
-/// Cross-check a claimed position against delay triangulation from multiple
-/// landmark auditors (§V-C's "triangulation of V from multiple landmarks",
-/// citing [41]). `probe` measures RTT landmark -> device; the check passes
-/// when the multilateration fix lands within `tolerance` of the claim.
-TriangulationCheck verify_position_by_triangulation(
-    const net::GeoPoint& claimed, const std::vector<geoloc::Landmark>& landmarks,
-    const geoloc::RttProbe& probe, const net::InternetModel& model,
-    Kilometers tolerance);
 
 }  // namespace geoproof::core

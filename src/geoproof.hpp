@@ -2,9 +2,9 @@
 //
 //   #include "geoproof.hpp"
 //
-// For finer-grained builds include the per-module headers directly; the
-// library layering is common -> crypto/ecc/net -> storage/geoloc/distbound
-// -> por -> core (see README.md).
+// For finer-grained builds include the per-module headers directly. The
+// library layering is README.md's dependency line; tools/geoproof_lint.py's
+// `layer` rule checks every module's includes against its link line.
 #pragma once
 
 // Foundations
@@ -74,7 +74,6 @@
 #include "core/deployment.hpp"
 #include "core/dynamic_geoproof.hpp"
 #include "core/gps.hpp"
-#include "core/multi_auditor.hpp"
 #include "core/policy.hpp"
 #include "core/provider.hpp"
 #include "core/replication.hpp"
@@ -84,8 +83,9 @@
 #include "core/verifier.hpp"
 
 // Location estimation: vantage-fleet delay measurement + Byzantine-robust
-// multilateration (locate::VantageFleet, locate::Multilaterator) — the
-// GeoFINDR/BFT-PoLoc workload class layered on the sharded engine.
+// multilateration (locate::VantageFleet, locate::Multilaterator), and
+// the §V-C composite audit (locate::MultiAuditor) on the same solver.
+#include "locate/composite.hpp"
 #include "locate/delay_model.hpp"
 #include "locate/fleet.hpp"
 #include "locate/measurement.hpp"

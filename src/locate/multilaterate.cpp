@@ -306,7 +306,7 @@ GeoPoint grid_search(const BoundingBox& coarse, unsigned grid,
   double best_cost = std::numeric_limits<double>::infinity();
   for (const Candidate& seed : beam) {
     // Zoom into a 3x3-cell window around the seed, then keep refining
-    // around each level's winner (cf. TbgMultilateration).
+    // around each level's winner (cf. geoloc's TBG baseline).
     GeoPoint local = seed.point;
     double local_cost = seed.cost;
     BoundingBox box{local.lat_deg - 1.5 * coarse_dlat,

@@ -26,52 +26,5 @@ TEST(GpsDevice, SpoofOverridesReport) {
   EXPECT_EQ(gps.report(), (GeoPoint{-27.47, 153.02}));
 }
 
-net::InternetModel clean_model() {
-  net::InternetModelParams p;
-  p.jitter_stddev_ms = 0;
-  return net::InternetModel(p);
-}
-
-TEST(Triangulation, ConfirmsHonestClaim) {
-  // Device really is in Brisbane and claims Brisbane: landmark delays
-  // triangulate consistently.
-  const GeoPoint truth = net::places::brisbane();
-  const auto check = verify_position_by_triangulation(
-      truth, geoloc::australian_landmarks(),
-      geoloc::honest_probe(clean_model(), truth), clean_model(),
-      Kilometers{200.0});
-  EXPECT_TRUE(check.consistent);
-  EXPECT_LT(check.discrepancy.value, 200.0);
-}
-
-TEST(Triangulation, ExposesSpoofedGps) {
-  // §V-C: the GPS says Brisbane but the device actually sits in Perth;
-  // delay triangulation from independent landmarks pins it near Perth and
-  // the claim fails.
-  const GeoPoint actual = net::places::perth();
-  const GeoPoint claimed = net::places::brisbane();
-  const auto check = verify_position_by_triangulation(
-      claimed, geoloc::australian_landmarks(),
-      geoloc::honest_probe(clean_model(), actual), clean_model(),
-      Kilometers{200.0});
-  EXPECT_FALSE(check.consistent);
-  EXPECT_GT(check.discrepancy.value, 2000.0);
-}
-
-TEST(Triangulation, ProviderDelayOnlyHurtsItself) {
-  // The provider controls the network around the device and can add delay
-  // to the landmark probes - but padding makes the device look *farther*
-  // from every landmark, never closer to the claimed site, so it cannot
-  // manufacture consistency for a false claim.
-  const GeoPoint actual = net::places::perth();
-  const GeoPoint claimed = net::places::brisbane();
-  const auto padded = geoloc::delay_padded_probe(
-      geoloc::honest_probe(clean_model(), actual), Millis{30.0});
-  const auto check = verify_position_by_triangulation(
-      claimed, geoloc::australian_landmarks(), padded, clean_model(),
-      Kilometers{200.0});
-  EXPECT_FALSE(check.consistent);
-}
-
 }  // namespace
 }  // namespace geoproof::core

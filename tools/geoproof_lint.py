@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the GeoProof tree.
 
-Eight rules, each enforcing a discipline the type system cannot:
+Nine rules, each enforcing a discipline the type system cannot:
 
   clock      std::chrono::steady_clock / system_clock only in the clock
              abstraction and the explicitly real-time sites (net transport,
@@ -31,6 +31,11 @@ Eight rules, each enforcing a discipline the type system cannot:
              family. The runtime validates charset; the lint also pins
              the geoproof_ prefix, which the runtime cannot (tests
              register foreign prefixes deliberately).
+  layer      a #include "<mod>/..." in src/<m>/ names <m> itself or a
+             library on src/<m>/CMakeLists.txt's target_link_libraries
+             line (geoproof_X or geoproof::X). CMake stays the one source
+             of truth for the layering, and a module cannot lean on a
+             header it only reaches transitively or not at all.
 
 The pattern rules also cover the daemon binaries under apps/ — spawned
 processes are where an unreplayable RNG or a stray wall-clock read hides
@@ -351,12 +356,58 @@ def check_metric_names(root: Path) -> List[Violation]:
     return violations
 
 
+# A src/<m>/CMakeLists.txt link line, and the geoproof libraries it names.
+LINK_CALL_PATTERN = re.compile(r"target_link_libraries\s*\(([^)]*)\)")
+LINKED_LIBRARY_PATTERN = re.compile(r"geoproof(?:_|::)([a-z0-9_]+)")
+MODULE_INCLUDE_PATTERN = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([A-Za-z0-9_]+)/')
+LAYER_MESSAGE = (
+    "is not linked by this module's CMakeLists.txt; link the library "
+    "(if the layering allows it) or move the code to the layer that does"
+)
+
+
+def check_layering(root: Path) -> List[Violation]:
+    src = root / "src"
+    if not src.is_dir():
+        return []
+    modules = {p.name for p in src.iterdir() if (p / "CMakeLists.txt").is_file()}
+    violations = []
+    for module in sorted(modules):
+        cmake = (src / module / "CMakeLists.txt").read_text(encoding="utf-8")
+        cmake = re.sub(r"#[^\n]*", "", cmake)
+        allowed = {module}
+        for args in LINK_CALL_PATTERN.findall(cmake):
+            allowed.update(LINKED_LIBRARY_PATTERN.findall(args))
+        for path in sorted((src / module).rglob("*")):
+            if path.suffix not in CXX_SUFFIXES or not path.is_file():
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text(encoding="utf-8", errors="replace")
+            code = strip_comments_and_strings(text, keep_strings=True)
+            for lineno, line in enumerate(code.splitlines(), start=1):
+                match = MODULE_INCLUDE_PATTERN.match(line)
+                if match is None:
+                    continue
+                included = match.group(1)
+                if included in modules and included not in allowed:
+                    violations.append(
+                        Violation(
+                            rel,
+                            lineno,
+                            "layer",
+                            f'"{included}/": geoproof_{included} {LAYER_MESSAGE}',
+                        )
+                    )
+    return violations
+
+
 def collect_violations(root: Path) -> List[Violation]:
     return (
         check_patterns(root)
         + check_test_registration(root)
         + check_functional_registration(root)
         + check_metric_names(root)
+        + check_layering(root)
     )
 
 
@@ -382,6 +433,10 @@ def main(argv: List[str]) -> int:
             "tests/functional/CMakeLists.txt"
         )
         print(f"metric-name: {METRIC_NAME_MESSAGE}")
+        print(
+            "layer: src/<m>/ includes only <m>/ and the libraries its "
+            "CMakeLists.txt links"
+        )
         return 0
 
     root = args.root.resolve()

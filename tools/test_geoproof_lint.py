@@ -293,6 +293,50 @@ class MetricNameRuleTest(unittest.TestCase):
         self.assertEqual(geoproof_lint.check_metric_names(root), [])
 
 
+class LayerRuleTest(unittest.TestCase):
+    MODULES = {
+        "src/net/CMakeLists.txt": "target_link_libraries(geoproof_net)\n",
+        "src/geoloc/CMakeLists.txt":
+            "target_link_libraries(geoproof_geoloc PUBLIC geoproof_net)\n",
+    }
+
+    def test_flags_include_of_unlinked_module(self):
+        root = make_tree(
+            {
+                **self.MODULES,
+                # A comment naming the library does not link it.
+                "src/core/CMakeLists.txt":
+                    "# core no longer needs geoproof_geoloc\n"
+                    "target_link_libraries(geoproof_core\n"
+                    "  PUBLIC geoproof_net)\n",
+                "src/core/gps.hpp":
+                    '#include "net/geo.hpp"\n#include "geoloc/schemes.hpp"\n',
+            }
+        )
+        violations = geoproof_lint.check_layering(root)
+        self.assertEqual(rules_hit(violations), ["layer"])
+        self.assertEqual(len(violations), 1)
+        self.assertEqual(violations[0].path, "src/core/gps.hpp")
+        self.assertEqual(violations[0].line, 2)
+
+    def test_linked_own_and_non_module_includes_are_clean(self):
+        root = make_tree(
+            {
+                **self.MODULES,
+                "src/locate/CMakeLists.txt":
+                    "target_link_libraries(geoproof_locate\n"
+                    "  PUBLIC geoproof::geoloc geoproof_net)\n",
+                "src/locate/composite.cpp":
+                    '#include "locate/composite.hpp"\n'
+                    '#include "geoloc/schemes.hpp"\n'
+                    '#include "net/geo.hpp"\n'
+                    '#include "detail/helper.hpp"\n'
+                    '// #include "core/scheme.hpp" is not needed here\n',
+            }
+        )
+        self.assertEqual(geoproof_lint.check_layering(root), [])
+
+
 class AppsScanTest(unittest.TestCase):
     def test_apps_sources_are_scanned(self):
         root = make_tree(
