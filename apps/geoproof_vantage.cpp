@@ -1,14 +1,17 @@
 // geoproof-vantage — a trusted landmark daemon.
 //
 // Serves the auditor's control protocol (daemon/wire.hpp) and runs timed
-// distance-bounding sweeps against a prover on request. Stdout handshake:
+// distance-bounding sweeps against a prover on request, many at once on
+// its serving loop. Stdout handshake:
 //
 //   READY port=<p> [metrics_port=<m>]
 //
 // --extra-oneway-ms emulates this vantage's geographic distance to the
-// prover (slept inside the timed window); --lie-rtt-ms turns the vantage
-// Byzantine; --metrics-port serves /metrics + /statusz from the process
-// obs registry. Exit codes: 0 clean shutdown, 2 flag error, 1 fatal.
+// prover (each round waits 2x it on a loop timer inside the timed window);
+// --lie-rtt-ms turns the vantage Byzantine; --metrics-port serves
+// /metrics + /statusz from the process obs registry, including the
+// geoproof_vantage snapshot (sweeps, rounds, violations and the sessions
+// in flight). Exit codes: 0 clean shutdown, 2 flag error, 1 fatal.
 
 #include <cstdio>
 #include <exception>
@@ -38,7 +41,8 @@ int run(int argc, char** argv) {
   std::uint64_t port = 0;
   flags.add("port", &port, "port to bind (0 = kernel-chosen, printed in READY)");
   flags.add("extra-oneway-ms", &config.extra_oneway_ms,
-            "emulated one-way path delay to the prover");
+            "emulated one-way path delay to the prover (ms); each timed "
+            "round waits 2x this on a timer before its request goes out");
   flags.add("lie-rtt-ms", &config.lie_rtt_ms,
             "Byzantine mode: fabricate samples around this RTT");
   std::int64_t metrics_port = -1;
@@ -80,7 +84,8 @@ int run(int argc, char** argv) {
     registry.add_snapshot("geoproof_vantage", [&vantage] {
       return obs::Fields{{"sweeps_total", vantage.sweeps()},
                          {"rounds_total", vantage.rounds()},
-                         {"violations_total", vantage.violations()}};
+                         {"violations_total", vantage.violations()},
+                         {"sessions_in_flight", vantage.sessions_in_flight()}};
     });
     obs::MetricsServer::Options options;
     options.host = metrics_host;

@@ -61,7 +61,7 @@ FleetReport AuditorClient::measure() {
 
   // Instrumentation (optional): the async-channel counters live here, not
   // in net, because the client knows what a request *means* — one vantage
-  // sweep with a deadline on the loop's timer wheel.
+  // sweep with a deadline on the loop's timers.
   obs::Counter* requests_total = nullptr;
   obs::Counter* deadline_misses = nullptr;
   obs::Counter* errors_total = nullptr;

@@ -3,7 +3,7 @@
 // One EventLoop on the calling thread, one net::AsyncTcpChannel per
 // vantage: MeasureRequests fan out concurrently (every vantage sweeps at
 // the same time, the GeoFINDR shape) and each carries a deadline on the
-// loop's timer wheel so one dead vantage cannot hang the audit. Completed
+// loop's timers so one dead vantage cannot hang the audit. Completed
 // SampleReports flow through the locate pipeline the simulations use —
 // SampleStats + min filter, calibrated DelayModel inversion, Byzantine
 // Multilaterator — so the spawned-process path and the simulated path

@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
+#include <ctime>
 #include <utility>
 
 #include "common/errors.hpp"
@@ -136,107 +136,58 @@ bool SimAsyncChannel::cancel(RequestId id) {
 }
 
 // --------------------------------------------------------------------------
-// TimerWheel
+// TimerSet
 // --------------------------------------------------------------------------
 
-TimerWheel::TimerWheel(Clock::time_point epoch, Millis granularity,
-                       std::size_t slots)
-    : epoch_(epoch), granularity_(to_nanos(granularity)), slots_(slots) {
-  if (slots == 0 || granularity_ <= Nanos::zero()) {
-    throw InvalidArgument("TimerWheel: need >= 1 slot and positive tick");
-  }
-}
-
-std::uint64_t TimerWheel::tick_of(Clock::time_point t) const {
-  const auto since = std::chrono::duration_cast<Nanos>(t - epoch_);
-  if (since <= Nanos::zero()) return 0;
-  return static_cast<std::uint64_t>(since.count() / granularity_.count());
-}
-
-TimerWheel::TimerId TimerWheel::schedule(Clock::time_point now, Millis delay,
-                                         std::function<void()> fn) {
-  if (!fn) throw InvalidArgument("TimerWheel: null timer fn");
-  if (delay < Millis{0}) delay = Millis{0};
-  // Round the expiry up so a timer never fires early, and always at least
-  // one tick out so it cannot land in the already-processed current tick.
-  const Nanos delay_ns = to_nanos(delay);
-  const std::uint64_t delta = static_cast<std::uint64_t>(
-      (delay_ns.count() + granularity_.count() - 1) / granularity_.count());
-  const std::uint64_t expiry =
-      std::max(tick_of(now) + std::max<std::uint64_t>(delta, 1),
-               current_tick_ + 1);
+TimerSet::TimerId TimerSet::schedule(Clock::time_point now, Millis delay,
+                                     std::function<void()> fn) {
+  if (!fn) throw InvalidArgument("TimerSet: null timer fn");
+  const Clock::time_point due =
+      now + std::max(Nanos{0}, std::chrono::round<Nanos>(delay));
   const TimerId id = next_id_++;
-  slots_[expiry % slots_.size()].push_back(Entry{id, expiry, std::move(fn)});
-  live_.emplace(id, expiry);
+  timers_.emplace(Key{due, id}, std::move(fn));
+  due_.emplace(id, due);
   return id;
 }
 
-bool TimerWheel::cancel(TimerId id) {
-  // The slot entry stays behind as a tombstone (its fn is dropped when the
-  // wheel sweeps past); live_ is the source of truth.
-  return live_.erase(id) != 0;
+bool TimerSet::cancel(TimerId id) {
+  const auto it = due_.find(id);
+  if (it == due_.end()) return false;
+  timers_.erase(Key{it->second, id});
+  due_.erase(it);
+  return true;
 }
 
-std::size_t TimerWheel::fire_due(Clock::time_point now) {
-  const std::uint64_t now_tick = tick_of(now);
-  if (now_tick <= current_tick_ && current_tick_ != 0) return 0;
-
-  std::vector<Entry> due;
-  // Walk each elapsed tick's slot once; if a whole revolution (or more)
-  // elapsed, every slot is visited exactly once.
-  const std::uint64_t first = current_tick_ + 1;
-  const std::uint64_t span =
-      std::min<std::uint64_t>(now_tick - current_tick_, slots_.size());
-  for (std::uint64_t t = first; t < first + span; ++t) {
-    std::vector<Entry>& slot = slots_[t % slots_.size()];
-    auto keep = slot.begin();
-    for (auto& entry : slot) {
-      if (entry.expiry_tick <= now_tick) {
-        if (live_.count(entry.id) != 0) due.push_back(std::move(entry));
-        // cancelled tombstones are dropped either way
-      } else {
-        *keep++ = std::move(entry);  // future revolution: stays
-      }
-    }
-    slot.erase(keep, slot.end());
+std::size_t TimerSet::fire_due(Clock::time_point now) {
+  std::vector<Key> batch;
+  for (auto it = timers_.begin(); it != timers_.end() && it->first.first <= now;
+       ++it) {
+    batch.push_back(it->first);
   }
-  current_tick_ = now_tick;
-
-  // Deterministic firing order under coincident expiries.
-  std::sort(due.begin(), due.end(), [](const Entry& a, const Entry& b) {
-    if (a.expiry_tick != b.expiry_tick) return a.expiry_tick < b.expiry_tick;
-    return a.id < b.id;
-  });
   std::size_t fired = 0;
-  for (Entry& entry : due) {
+  for (const Key& key : batch) {
+    const auto it = timers_.find(key);
     // A timer fired earlier in this batch may have cancelled this one.
-    if (live_.erase(entry.id) == 0) continue;
-    entry.fn();
+    if (it == timers_.end()) continue;
+    const std::function<void()> fn = std::move(it->second);
+    timers_.erase(it);
+    due_.erase(key.second);
+    fn();
     ++fired;
   }
   return fired;
 }
 
-std::optional<Millis> TimerWheel::until_next(Clock::time_point now) const {
-  if (live_.empty()) return std::nullopt;
-  std::uint64_t min_tick = 0;
-  bool first = true;
-  for (const auto& [id, tick] : live_) {
-    if (first || tick < min_tick) {
-      min_tick = tick;
-      first = false;
-    }
-  }
-  const std::uint64_t now_tick = tick_of(now);
-  if (min_tick <= now_tick) return Millis{0};
-  return to_millis(granularity_ * static_cast<std::int64_t>(min_tick - now_tick));
+std::optional<Nanos> TimerSet::until_next(Clock::time_point now) const {
+  if (timers_.empty()) return std::nullopt;
+  return std::max(Nanos{0}, timers_.begin()->first.first - now);
 }
 
 // --------------------------------------------------------------------------
 // EventLoop
 // --------------------------------------------------------------------------
 
-EventLoop::EventLoop() : wheel_(TimerWheel::Clock::now()) {
+EventLoop::EventLoop() {
   const int efd = ::epoll_create1(EPOLL_CLOEXEC);
   if (efd < 0) throw NetError("EventLoop: epoll_create1 failed");
   epoll_ = Socket(efd);
@@ -293,10 +244,10 @@ void EventLoop::remove_fd(int fd) {
 
 EventLoop::TimerId EventLoop::schedule_after(Millis delay,
                                              std::function<void()> fn) {
-  return wheel_.schedule(TimerWheel::Clock::now(), delay, std::move(fn));
+  return timers_.schedule(TimerSet::Clock::now(), delay, std::move(fn));
 }
 
-bool EventLoop::cancel_timer(TimerId id) { return wheel_.cancel(id); }
+bool EventLoop::cancel_timer(TimerId id) { return timers_.cancel(id); }
 
 void EventLoop::post(std::function<void()> fn) {
   {
@@ -314,19 +265,29 @@ void EventLoop::stop() {
 }
 
 std::size_t EventLoop::pump(Millis max_wait) {
-  Millis wait = max_wait < Millis{0} ? Millis{0} : max_wait;
-  if (const auto next = wheel_.until_next(TimerWheel::Clock::now())) {
+  Nanos wait = std::max(Nanos{0}, to_nanos(max_wait));
+  if (const auto next = timers_.until_next(TimerSet::Clock::now())) {
     wait = std::min(wait, *next);
   }
   {
     MutexLock lock(post_mu_);
-    if (!posted_.empty()) wait = Millis{0};
+    if (!posted_.empty()) wait = Nanos{0};
   }
 
   epoll_event events[64];
-  const int timeout_ms =
-      static_cast<int>(std::ceil(std::max(0.0, wait.count())));
-  int n = ::epoll_wait(epoll_.fd(), events, 64, timeout_ms);
+  int n = -1;
+  if (!coarse_wait_) {
+    const timespec timeout{static_cast<time_t>(wait.count() / 1'000'000'000),
+                           static_cast<long>(wait.count() % 1'000'000'000)};
+    n = ::epoll_pwait2(epoll_.fd(), events, 64, &timeout, nullptr);
+    // A kernel or syscall filter older than epoll_pwait2 (Linux 5.11):
+    // fall back to whole milliseconds, rounded up so no timer fires early.
+    if (n < 0 && (errno == ENOSYS || errno == EPERM)) coarse_wait_ = true;
+  }
+  if (coarse_wait_) {
+    n = ::epoll_wait(epoll_.fd(), events, 64,
+                     static_cast<int>((wait.count() + 999'999) / 1'000'000));
+  }
   if (n < 0) {
     if (errno != EINTR) {
       throw NetError(std::string("EventLoop: epoll_wait failed: ") +
@@ -348,7 +309,7 @@ std::size_t EventLoop::pump(Millis max_wait) {
     ++handled;
   }
 
-  handled += wheel_.fire_due(TimerWheel::Clock::now());
+  handled += timers_.fire_due(TimerSet::Clock::now());
 
   std::vector<std::function<void()>> tasks;
   {
@@ -377,7 +338,7 @@ void EventLoop::run() {
 }
 
 bool EventLoop::idle() const {
-  if (wheel_.pending() > 0) return false;
+  if (timers_.pending() > 0) return false;
   {
     MutexLock lock(post_mu_);
     if (!posted_.empty()) return false;

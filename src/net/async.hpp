@@ -5,7 +5,8 @@
 // Asynchrony lives here, where a socket needs it. One thread pumping one
 // EventLoop drives many in-flight request/response exchanges:
 // daemon::AuditorClient fans one measurement out to every vantage over
-// AsyncTcpChannel this way (the GeoFINDR multi-vantage shape), and
+// AsyncTcpChannel this way (the GeoFINDR multi-vantage shape), every
+// vantage runs its concurrent sweeps as sessions on its server's loop, and
 // VerifierDevice::begin_audit holds many devices' audit sessions on one
 // loop. SimAsyncChannel replays the virtual-latency model on the same API,
 // pumped by an EventQueue, so the session form stays deterministic under
@@ -31,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -184,56 +186,45 @@ class SimAsyncChannel final : public AsyncChannel {
   std::uint64_t exchanges_ = 0;
 };
 
-/// Hashed timer wheel for request deadlines: slots of fixed granularity,
-/// entries beyond the horizon carry a rounds counter (the classic hashed
-/// wheel). Insert/cancel are O(1); expiry touches only the slots the
-/// elapsed ticks crossed. Due timers fire in (expiry, id) order so the
-/// loop stays deterministic under coincident deadlines.
-class TimerWheel {
+/// One-shot timers ordered by (due, id). A timer is due exactly when `now`
+/// reaches its due time: no delay is rounded to a tick, so an emulated
+/// path delay lands in a timed window at its own length. Coincident
+/// timers fire in scheduling order, which keeps the loop deterministic;
+/// explicit time points let tests pin all of it without a clock.
+class TimerSet {
  public:
   using TimerId = std::uint64_t;
   using Clock = std::chrono::steady_clock;
 
-  explicit TimerWheel(Clock::time_point epoch, Millis granularity = Millis{1.0},
-                      std::size_t slots = 256);
-
   TimerId schedule(Clock::time_point now, Millis delay,
                    std::function<void()> fn);
   bool cancel(TimerId id);
+  /// Fire the timers due at `now`, earliest first. A timer scheduled by a
+  /// firing one waits for the next call, even at zero delay.
   std::size_t fire_due(Clock::time_point now);
-  /// Time until the earliest live timer (nullopt when none).
-  std::optional<Millis> until_next(Clock::time_point now) const;
-  std::size_t pending() const { return live_.size(); }
+  /// Time until the earliest timer, zero once it is due (nullopt when none).
+  std::optional<Nanos> until_next(Clock::time_point now) const;
+  std::size_t pending() const { return timers_.size(); }
 
  private:
-  struct Entry {
-    TimerId id = 0;
-    std::uint64_t expiry_tick = 0;
-    std::function<void()> fn;
-  };
+  using Key = std::pair<Clock::time_point, TimerId>;
 
-  std::uint64_t tick_of(Clock::time_point t) const;
-
-  Clock::time_point epoch_;
-  Nanos granularity_;
-  std::vector<std::vector<Entry>> slots_;
-  std::uint64_t current_tick_ = 0;  // ticks fully processed
+  std::map<Key, std::function<void()>> timers_;
+  std::unordered_map<TimerId, Clock::time_point> due_;  // for cancel()
   TimerId next_id_ = 1;
-  /// id -> expiry tick for every live (scheduled, unfired, uncancelled)
-  /// timer; cancel() marks here and fire skips. Small: one entry per
-  /// in-flight deadline.
-  std::unordered_map<TimerId, std::uint64_t> live_;
 };
 
-/// The epoll reactor: fd readiness callbacks, a deadline timer wheel, a
-/// cross-thread wakeup fd for post()/stop(). Single-threaded by design —
+/// The epoll reactor: fd readiness callbacks, exact timers (the wait is
+/// epoll_pwait2's nanosecond timeout, so a timer fires at its due time
+/// plus the kernel's wake-up latency, not rounded up to a millisecond),
+/// a cross-thread wakeup fd for post()/stop(). Single-threaded by design —
 /// every method except post() and stop() must be called from the pumping
 /// thread (or before any thread pumps).
 class EventLoop final {
  public:
   /// (readable, writable, error) — error covers EPOLLERR/EPOLLHUP.
   using FdHandler = std::function<void(bool, bool, bool)>;
-  using TimerId = TimerWheel::TimerId;
+  using TimerId = TimerSet::TimerId;
 
   EventLoop();
   ~EventLoop();
@@ -272,7 +263,8 @@ class EventLoop final {
   Socket epoll_;
   Socket wake_;
   std::unordered_map<int, FdHandler> handlers_;  // loop thread only
-  TimerWheel wheel_;                             // loop thread only
+  TimerSet timers_;                              // loop thread only
+  bool coarse_wait_ = false;  // epoll_pwait2 unavailable: whole-ms waits
   std::atomic<bool> stopping_{false};
   /// The one cross-thread door: post() appends under post_mu_ from any
   /// thread, the loop thread swaps the queue out under it each pump.

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "common/errors.hpp"
 
@@ -151,6 +152,15 @@ Socket connect_loopback(const std::string& host, std::uint16_t port,
   return sock;
 }
 
+/// A Bytes(BytesView) handler as a frame handler that replies inline.
+TcpServer::FrameHandler inline_replies(RequestHandler handler) {
+  if (!handler) return nullptr;  // the constructor rejects it
+  return [handler = std::move(handler)](BytesView frame,
+                                        TcpServer::Reply reply) {
+    reply.send(handler(frame));
+  };
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -219,24 +229,63 @@ std::optional<Bytes> FrameAssembler::next() {
 }
 
 // --------------------------------------------------------------------------
+// TcpServer::Reply
+// --------------------------------------------------------------------------
+
+TcpServer::Reply::~Reply() {
+  if (const auto conn = owed_conn()) server_->close_conn(*conn);
+}
+
+std::shared_ptr<TcpServer::Conn> TcpServer::Reply::owed_conn() const {
+  auto conn = conn_.lock();
+  if (!conn || conn->closed || seq_ < conn->owed_base ||
+      conn->owed[seq_ - conn->owed_base].response) {
+    return nullptr;
+  }
+  return conn;
+}
+
+void TcpServer::Reply::send(Bytes response) {
+  const auto conn = owed_conn();
+  conn_.reset();  // answered (or gone): the destructor has nothing to drop
+  if (!conn) return;
+  Owed& owed = conn->owed[seq_ - conn->owed_base];
+  owed.response = std::move(response);
+  owed.on_cancel = nullptr;
+  server_->release_replies(*conn);
+}
+
+void TcpServer::Reply::on_cancel(std::function<void()> fn) {
+  if (const auto conn = owed_conn()) {
+    conn->owed[seq_ - conn->owed_base].on_cancel = std::move(fn);
+  }
+}
+
+// --------------------------------------------------------------------------
 // TcpServer (non-blocking, multiplexing)
 // --------------------------------------------------------------------------
+
+TcpServer::TcpServer(FrameHandler handler)
+    : TcpServer(std::move(handler), Options{}) {}
+
+TcpServer::TcpServer(FrameHandler handler, const Options& options)
+    : TcpServer(std::move(handler), StreamHandler{}, options) {}
 
 TcpServer::TcpServer(RequestHandler handler)
     : TcpServer(std::move(handler), Options{}) {}
 
 TcpServer::TcpServer(RequestHandler handler, const Options& options)
-    : TcpServer(std::move(handler), StreamHandler{}, options) {}
+    : TcpServer(inline_replies(std::move(handler)), StreamHandler{}, options) {}
 
 TcpServer::TcpServer(StreamHandler handler)
     : TcpServer(std::move(handler), Options{}) {}
 
 TcpServer::TcpServer(StreamHandler handler, const Options& options)
-    : TcpServer(RequestHandler{}, std::move(handler), options) {}
+    : TcpServer(FrameHandler{}, std::move(handler), options) {}
 
-TcpServer::TcpServer(RequestHandler request_handler,
-                     StreamHandler stream_handler, const Options& options)
-    : handler_(std::move(request_handler)),
+TcpServer::TcpServer(FrameHandler frame_handler, StreamHandler stream_handler,
+                     const Options& options)
+    : handler_(std::move(frame_handler)),
       stream_handler_(std::move(stream_handler)) {
   if (!handler_ && !stream_handler_.on_input) {
     throw InvalidArgument("TcpServer: null handler");
@@ -283,8 +332,11 @@ void TcpServer::stop() {
   if (stopped_.exchange(true)) return;
   loop_.stop();
   if (thread_.joinable()) thread_.join();
-  // Loop thread is gone; tear connections down on this thread.
-  conns_.clear();
+  // The loop thread is gone: close what is left on this thread, which
+  // cancels every reply still outstanding.
+  std::vector<std::shared_ptr<Conn>> open;
+  for (const auto& [fd, conn] : conns_) open.push_back(conn);
+  for (const auto& conn : open) close_conn(*conn);
   listener_.close();
 }
 
@@ -297,7 +349,7 @@ void TcpServer::on_listener_ready() {
     }
     set_nodelay(cfd);
     set_nonblocking(cfd);
-    auto conn = std::make_unique<Conn>();
+    auto conn = std::make_shared<Conn>();
     conn->sock = Socket(cfd);
     conns_.emplace(cfd, std::move(conn));
     loop_.add_fd(cfd, /*want_read=*/true, /*want_write=*/false,
@@ -307,18 +359,29 @@ void TcpServer::on_listener_ready() {
   }
 }
 
-void TcpServer::close_conn(int fd) {
+void TcpServer::close_conn(Conn& conn) {
+  if (conn.closed) return;
+  conn.closed = true;
+  const int fd = conn.sock.fd();
   loop_.remove_fd(fd);
-  conns_.erase(fd);  // Socket destructor closes
+  std::vector<std::function<void()>> cancels;
+  for (Owed& owed : conn.owed) {
+    if (owed.on_cancel) cancels.push_back(std::move(owed.on_cancel));
+  }
+  conn.owed.clear();
+  conn.sock.close();
+  conns_.erase(fd);  // may destroy `conn`
+  for (const auto& cancel : cancels) cancel();
 }
 
-bool TcpServer::flush_writes(int fd, Conn& conn) {
+bool TcpServer::flush_writes(Conn& conn) {
   std::string error;
+  const int fd = conn.sock.fd();
   switch (flush_buffer(fd, conn.out, conn.out_off, error)) {
     case IoStatus::kOk:
       if (conn.closing) {
         // Half-closed peer: its last responses are flushed, we are done.
-        close_conn(fd);
+        close_conn(conn);
         return false;
       }
       if (conn.want_write) {
@@ -333,85 +396,99 @@ bool TcpServer::flush_writes(int fd, Conn& conn) {
       }
       return true;
     default:
-      close_conn(fd);
+      close_conn(conn);
       return false;
   }
+}
+
+void TcpServer::release_replies(Conn& conn) {
+  while (!conn.owed.empty() && conn.owed.front().response) {
+    const Bytes& response = *conn.owed.front().response;
+    if (response.size() > kMaxFrameBytes) {
+      close_conn(conn);
+      return;
+    }
+    append_frame(conn.out, response);
+    conn.owed.pop_front();
+    ++conn.owed_base;
+  }
+  if (!conn.out.empty()) flush_writes(conn);
 }
 
 void TcpServer::on_conn_ready(int fd, bool readable, bool writable,
                               bool error) {
   const auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  Conn& conn = *it->second;
+  const std::shared_ptr<Conn> conn = it->second;  // survives close_conn
 
   if (error) {
-    close_conn(fd);
+    close_conn(*conn);
     return;
   }
-  if (writable && !flush_writes(fd, conn)) return;
+  if (writable && !flush_writes(*conn)) return;
   if (!readable) return;
 
-  if (stream_handler_.on_input) {
-    std::string drain_error;
-    const IoStatus status = drain_bytes(fd, conn.in, drain_error);
-    if (status == IoStatus::kError) {
-      close_conn(fd);
-      return;
-    }
-    on_conn_stream(fd, conn, status == IoStatus::kClosed);
-    return;
-  }
-
   std::string drain_error;
-  const IoStatus status = drain_into(fd, conn.frames, drain_error);
+  const IoStatus status =
+      stream_handler_.on_input ? drain_bytes(fd, conn->in, drain_error)
+                               : drain_into(fd, conn->frames, drain_error);
   if (status == IoStatus::kError) {
     // Transport failure or oversized frame announcement: drop the peer.
-    close_conn(fd);
+    close_conn(*conn);
     return;
   }
-  on_conn_frames(fd, conn, status == IoStatus::kClosed);
+  if (stream_handler_.on_input) {
+    on_conn_stream(*conn, status == IoStatus::kClosed);
+  } else {
+    on_conn_frames(conn, status == IoStatus::kClosed);
+  }
 }
 
-void TcpServer::on_conn_frames(int fd, Conn& conn, bool peer_closed) {
-  if (peer_closed) conn.closing = true;
-
-  // Answer every fully-received request — including ones that arrived in
-  // the same drain as an orderly EOF (a half-closing client still reads
-  // its responses). Only a partial trailing frame dies with the close.
-  while (const auto frame = conn.frames.next()) {
+void TcpServer::on_conn_frames(const std::shared_ptr<Conn>& conn,
+                               bool peer_closed) {
+  // Dispatch every fully-received request — including ones that arrived
+  // in the same drain as an orderly EOF. Only a partial trailing frame
+  // dies with the close.
+  while (const auto frame = conn->frames.next()) {
+    conn->owed.emplace_back();
+    const std::uint64_t seq = conn->owed_base + conn->owed.size() - 1;
     try {
-      append_frame(conn.out, handler_(*frame));
+      handler_(*frame, Reply(this, conn, seq));
     } catch (const Error&) {
       // Handler rejected the request (or produced an over-cap response):
       // drop the connection. A production server would answer with an
       // error frame; for the reproduction the auditors treat a dropped
       // connection as a failed audit.
-      close_conn(fd);
-      return;
+      close_conn(*conn);
     }
+    if (conn->closed) return;
   }
-  if (!conn.out.empty()) {
-    // flush_writes closes for us once a closing peer's buffer drains.
-    flush_writes(fd, conn);
-  } else if (conn.closing) {
-    close_conn(fd);
+
+  if (!peer_closed) return;
+  // The requester is gone: outstanding replies are cancelled. A
+  // half-closing client still reads the ones already complete, so a
+  // blocked `out` closes the connection once it drains (flush_writes).
+  if (!conn->owed.empty() || conn->out.empty()) {
+    close_conn(*conn);
+    return;
   }
+  conn->closing = true;
 }
 
-void TcpServer::on_conn_stream(int fd, Conn& conn, bool peer_closed) {
+void TcpServer::on_conn_stream(Conn& conn, bool peer_closed) {
   // conn.closing doubles as "response already queued" in stream mode —
   // one request per connection, so further input is ignored and the
   // connection dies once the response drains.
   if (!conn.closing) {
     if (conn.in.size() > kMaxStreamRequestBytes) {
-      close_conn(fd);
+      close_conn(conn);
       return;
     }
     std::optional<Bytes> response;
     try {
       response = stream_handler_.on_input(conn.in);
     } catch (const Error&) {
-      close_conn(fd);
+      close_conn(conn);
       return;
     }
     if (response) {
@@ -422,9 +499,9 @@ void TcpServer::on_conn_stream(int fd, Conn& conn, bool peer_closed) {
     }
   }
   if (!conn.out.empty()) {
-    flush_writes(fd, conn);  // closes once drained (conn.closing is set)
+    flush_writes(conn);  // closes once drained (conn.closing is set)
   } else if (conn.closing || peer_closed) {
-    close_conn(fd);
+    close_conn(conn);
   }
 }
 

@@ -9,13 +9,17 @@
 // Framing: 4-byte big-endian length + payload (64 MiB cap). Responses on a
 // connection are returned in request order, so pipelined requests correlate
 // positionally on the wire; AsyncChannel::RequestId is the client-side
-// correlation id used for deadlines and cancellation.
+// correlation id used for deadlines and cancellation. The server may answer
+// a request later than its handler call (a deferred TcpServer::Reply,
+// completed from the server's loop thread); the order holds regardless, a
+// finished reply waiting behind any earlier one still outstanding.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,16 +82,59 @@ inline constexpr std::size_t kMaxStreamRequestBytes = 64u * 1024;
 /// Multiplexing request/response server on 127.0.0.1 with an ephemeral
 /// port. A dedicated thread pumps an EventLoop: accepts are non-blocking
 /// and every connection progresses independently, so concurrent clients
-/// are served interleaved (the historical sequential-accept server made a
-/// second client wait for the first to disconnect). Each connection is a
-/// stream of frames answered in order by `handler`; a handler exception or
-/// malformed/oversized frame drops that connection only. Destruction stops
-/// the loop.
+/// are served interleaved. Each connection is a stream of frames; the
+/// frame handler gets every request with a Reply, which it completes
+/// inline or later from any callback on loop() (a deferred reply), so one
+/// loop thread can hold many slow requests at once. Responses leave a
+/// connection in request order: a finished reply waits behind an earlier
+/// request still outstanding. When the peer closes, or the connection
+/// fails, with replies outstanding, each one's on_cancel hook runs and
+/// its handle becomes a no-op; a half-closing peer still gets the replies
+/// already complete. A handler exception, a reply dropped unsent, or a
+/// malformed/oversized frame drops that connection only. Destruction
+/// stops the loop and cancels what is still outstanding.
 ///
 /// The StreamHandler constructors select stream mode instead: no framing,
 /// one request per connection, response-then-close (see StreamHandler).
 class TcpServer {
+ private:
+  struct Conn;
+
  public:
+  /// One request's response, owed by the frame handler. Move-only and
+  /// loop-thread-only. Once the connection is gone every call is a no-op.
+  /// Dropping a reply unsent drops its connection: the responses queued
+  /// behind it could never go out.
+  class Reply {
+   public:
+    Reply(Reply&& other) noexcept = default;
+    ~Reply();
+
+    /// Queue the response; it goes out once every earlier request on the
+    /// connection has been answered. Later calls are ignored.
+    void send(Bytes response);
+    /// Run `fn` if the connection closes before send(): the requester is
+    /// gone, so the work behind this reply should stop. It runs on the
+    /// loop thread, or on the thread calling stop() during shutdown.
+    void on_cancel(std::function<void()> fn);
+    /// The serving loop, where a deferred reply and the timers and
+    /// channels that produce it run (valid on a reply a handler received).
+    EventLoop& loop() const { return server_->loop_; }
+
+   private:
+    friend class TcpServer;
+    Reply(TcpServer* server, std::weak_ptr<Conn> conn, std::uint64_t seq)
+        : server_(server), conn_(std::move(conn)), seq_(seq) {}
+    /// The connection while this reply is still owed to it, else null.
+    std::shared_ptr<Conn> owed_conn() const;
+
+    TcpServer* server_ = nullptr;
+    std::weak_ptr<Conn> conn_;
+    std::uint64_t seq_ = 0;  // request number on the connection
+  };
+
+  using FrameHandler = std::function<void(BytesView frame, Reply reply)>;
+
   /// Bind address. The default requests an ephemeral port on loopback:
   /// port 0 lets the kernel pick, and port() reports the chosen value —
   /// spawned-daemon harnesses bind 0 and read the port back instead of
@@ -100,6 +147,9 @@ class TcpServer {
     int backlog = 64;
   };
 
+  explicit TcpServer(FrameHandler handler);
+  TcpServer(FrameHandler handler, const Options& options);
+  /// Inline replies: each request's response is `handler`'s return value.
   explicit TcpServer(RequestHandler handler);
   TcpServer(RequestHandler handler, const Options& options);
   explicit TcpServer(StreamHandler handler);
@@ -110,9 +160,17 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   std::uint16_t port() const { return port_; }
+  /// The loop serving every connection. Deferred replies, and the timers
+  /// and channels that produce them, live on it (loop-thread-only).
+  EventLoop& loop() { return loop_; }
   void stop();
 
  private:
+  struct Owed {
+    std::optional<Bytes> response;  // set by Reply::send
+    std::function<void()> on_cancel;
+  };
+
   struct Conn {
     Socket sock;
     FrameAssembler frames;  // frame mode only
@@ -122,24 +180,30 @@ class TcpServer {
     bool want_write = false;  // current epoll write interest (skip no-op MODs)
     bool closing = false;     // peer sent EOF (or stream response queued);
                               // close once `out` drains
+    bool closed = false;      // torn down; its replies are no-ops
+    std::deque<Owed> owed;    // frame mode: responses in request order
+    std::uint64_t owed_base = 0;  // request number of owed.front()
   };
 
-  TcpServer(RequestHandler request_handler, StreamHandler stream_handler,
+  TcpServer(FrameHandler frame_handler, StreamHandler stream_handler,
             const Options& options);
 
   void on_listener_ready();
   void on_conn_ready(int fd, bool readable, bool writable, bool error);
-  void on_conn_frames(int fd, Conn& conn, bool peer_closed);
-  void on_conn_stream(int fd, Conn& conn, bool peer_closed);
-  void close_conn(int fd);
-  bool flush_writes(int fd, Conn& conn);
+  void on_conn_frames(const std::shared_ptr<Conn>& conn, bool peer_closed);
+  void on_conn_stream(Conn& conn, bool peer_closed);
+  /// Move the finished replies at the front of `owed` onto the wire.
+  void release_replies(Conn& conn);
+  /// Tear down, then run the on_cancel hooks of outstanding replies.
+  void close_conn(Conn& conn);
+  bool flush_writes(Conn& conn);
 
-  RequestHandler handler_;
+  FrameHandler handler_;
   StreamHandler stream_handler_;
   Socket listener_;
   std::uint16_t port_ = 0;
   EventLoop loop_;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;  // loop thread only
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // loop thread only
   std::thread thread_;
   std::atomic<bool> stopped_{false};
 };
@@ -160,7 +224,7 @@ class TcpRequestChannel final : public RequestChannel {
 /// Non-blocking client channel multiplexing many in-flight requests over
 /// one persistent connection, driven by an EventLoop. Requests pipeline on
 /// the wire and correlate positionally (the server answers in order);
-/// deadlines run on the loop's timer wheel; a timed-out or cancelled
+/// deadlines run on the loop's timers; a timed-out or cancelled
 /// request's late response is consumed and discarded so the stream stays
 /// in sync. All methods are loop-thread-only.
 class AsyncTcpChannel final : public AsyncChannel {

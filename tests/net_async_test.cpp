@@ -1,4 +1,4 @@
-// The async transport core: timer wheel, frame assembler, the blocking
+// The async transport core: exact timers, frame assembler, the blocking
 // adapter, the simulated async channel (including the session-overlap
 // property the event-loop redesign exists for) and the real epoll
 // loop + multiplexing TCP channel.
@@ -15,60 +15,96 @@
 namespace geoproof::net {
 namespace {
 
-using Clock = TimerWheel::Clock;
+using Clock = TimerSet::Clock;
+using std::chrono::microseconds;
+using std::chrono::milliseconds;
 
 // --------------------------------------------------------------------------
-// TimerWheel (driven with explicit time points: fully deterministic)
+// TimerSet (driven with explicit time points: fully deterministic)
 // --------------------------------------------------------------------------
 
-TEST(TimerWheel, FiresInDeadlineOrder) {
+TEST(TimerSet, FiresInDeadlineOrder) {
   const Clock::time_point t0 = Clock::now();
-  TimerWheel wheel(t0, Millis{1.0}, 8);
+  TimerSet timers;
   std::vector<int> fired;
-  wheel.schedule(t0, Millis{5.0}, [&] { fired.push_back(5); });
-  wheel.schedule(t0, Millis{2.0}, [&] { fired.push_back(2); });
-  wheel.schedule(t0, Millis{3.0}, [&] { fired.push_back(3); });
+  timers.schedule(t0, Millis{5.0}, [&] { fired.push_back(5); });
+  timers.schedule(t0, Millis{2.0}, [&] { fired.push_back(2); });
+  timers.schedule(t0, Millis{3.0}, [&] { fired.push_back(3); });
+  timers.schedule(t0, Millis{2.0}, [&] { fired.push_back(22); });
 
-  EXPECT_EQ(wheel.fire_due(t0 + std::chrono::milliseconds(1)), 0u);
-  EXPECT_EQ(wheel.fire_due(t0 + std::chrono::milliseconds(10)), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{2, 3, 5}));
-  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(1)), 0u);
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(10)), 4u);
+  // Coincident deadlines fire in scheduling order.
+  EXPECT_EQ(fired, (std::vector<int>{2, 22, 3, 5}));
+  EXPECT_EQ(timers.pending(), 0u);
 }
 
-TEST(TimerWheel, LongDelaysSurviveWheelRevolutions) {
-  // 8 slots x 1 ms horizon; a 20 ms timer must ride two revolutions
-  // without firing early.
+TEST(TimerSet, LongDelaysNeverFireEarly) {
+  // A 20 ms timer stays put through any number of earlier checks.
   const Clock::time_point t0 = Clock::now();
-  TimerWheel wheel(t0, Millis{1.0}, 8);
+  TimerSet timers;
   int fired = 0;
-  wheel.schedule(t0, Millis{20.0}, [&] { ++fired; });
-  EXPECT_EQ(wheel.fire_due(t0 + std::chrono::milliseconds(8)), 0u);
-  EXPECT_EQ(wheel.fire_due(t0 + std::chrono::milliseconds(16)), 0u);
-  EXPECT_EQ(wheel.fire_due(t0 + std::chrono::milliseconds(21)), 1u);
+  timers.schedule(t0, Millis{20.0}, [&] { ++fired; });
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(8)), 0u);
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(16)), 0u);
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(21)), 1u);
   EXPECT_EQ(fired, 1);
 }
 
-TEST(TimerWheel, CancelPreventsFiring) {
+TEST(TimerSet, CancelPreventsFiring) {
   const Clock::time_point t0 = Clock::now();
-  TimerWheel wheel(t0, Millis{1.0}, 8);
+  TimerSet timers;
   int fired = 0;
-  const auto id = wheel.schedule(t0, Millis{2.0}, [&] { ++fired; });
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_FALSE(wheel.cancel(id));  // already gone
-  EXPECT_EQ(wheel.fire_due(t0 + std::chrono::milliseconds(5)), 0u);
+  const auto id = timers.schedule(t0, Millis{2.0}, [&] { ++fired; });
+  EXPECT_TRUE(timers.cancel(id));
+  EXPECT_FALSE(timers.cancel(id));  // already gone
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(5)), 0u);
+  EXPECT_EQ(fired, 0);
+  // A timer may cancel a later one due in the same batch.
+  TimerSet::TimerId later = 0;
+  timers.schedule(t0, Millis{1.0}, [&] { timers.cancel(later); });
+  later = timers.schedule(t0, Millis{2.0}, [&] { ++fired; });
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(5)), 1u);
   EXPECT_EQ(fired, 0);
 }
 
-TEST(TimerWheel, UntilNextReportsEarliestDeadline) {
+TEST(TimerSet, UntilNextReportsEarliestDeadline) {
   const Clock::time_point t0 = Clock::now();
-  TimerWheel wheel(t0, Millis{1.0}, 16);
-  EXPECT_FALSE(wheel.until_next(t0).has_value());
-  wheel.schedule(t0, Millis{7.0}, [] {});
-  wheel.schedule(t0, Millis{3.0}, [] {});
-  const auto next = wheel.until_next(t0);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_LE(next->count(), 4.0);
-  EXPECT_GT(next->count(), 0.0);
+  TimerSet timers;
+  EXPECT_FALSE(timers.until_next(t0).has_value());
+  timers.schedule(t0, Millis{7.0}, [] {});
+  timers.schedule(t0, Millis{3.0}, [] {});
+  EXPECT_EQ(timers.until_next(t0), Nanos{milliseconds(3)});
+  EXPECT_EQ(timers.until_next(t0 + milliseconds(1)), Nanos{milliseconds(2)});
+  EXPECT_EQ(timers.until_next(t0 + milliseconds(4)), Nanos{0});  // overdue
+}
+
+TEST(TimerSet, FiresAtItsDueTimeNotOnAMillisecondTick) {
+  // An emulated 14.83 ms leg: a 1 ms tick would hold it until 15 ms and
+  // add the difference to every measured round trip.
+  const Clock::time_point t0 = Clock::now();
+  TimerSet timers;
+  int fired = 0;
+  timers.schedule(t0, Millis{14.83}, [&] { ++fired; });
+  EXPECT_EQ(timers.until_next(t0), Nanos{microseconds(14830)});
+  EXPECT_EQ(timers.fire_due(t0 + microseconds(14820)), 0u);
+  EXPECT_EQ(timers.until_next(t0 + microseconds(14820)),
+            Nanos{microseconds(10)});
+  EXPECT_EQ(timers.fire_due(t0 + microseconds(14830)), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerSet, TimerScheduledWhileFiringWaitsForTheNextCall) {
+  const Clock::time_point t0 = Clock::now();
+  TimerSet timers;
+  int fired = 0;
+  timers.schedule(t0, Millis{1.0}, [&] {
+    ++fired;
+    timers.schedule(t0, Millis{0.0}, [&] { ++fired; });
+  });
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(1)), 1u);
+  EXPECT_EQ(timers.fire_due(t0 + milliseconds(1)), 1u);
+  EXPECT_EQ(fired, 2);
 }
 
 // --------------------------------------------------------------------------
@@ -299,6 +335,20 @@ TEST(EventLoop, TimersFireOnPump) {
   }
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
   EXPECT_TRUE(loop.idle());
+}
+
+TEST(EventLoop, TimerFiresAtItsDueTimeNotBefore) {
+  // The wait itself is exact (epoll_pwait2's nanosecond timeout): no
+  // early wake-up fires a timer before its due time.
+  EventLoop loop;
+  const Clock::time_point start = Clock::now();
+  Clock::time_point fired_at{};
+  loop.schedule_after(Millis{2.5}, [&] { fired_at = Clock::now(); });
+  while (fired_at == Clock::time_point{} &&
+         Clock::now() - start < std::chrono::seconds(5)) {
+    loop.pump(Millis{100.0});
+  }
+  EXPECT_GE(fired_at - start, microseconds(2500));
 }
 
 TEST(EventLoop, CancelledTimerNeverFires) {

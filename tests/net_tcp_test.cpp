@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/errors.hpp"
 
@@ -25,6 +28,16 @@ Socket raw_connect(std::uint16_t port) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
   return Socket(fd);
+}
+
+/// Spin (politely) until `done` or a generous deadline.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const SteadyAuditTimer timer;
+  while (!done() && timer.now() < Millis{5000.0}) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 void raw_send(const Socket& sock, BytesView data) {
@@ -252,6 +265,124 @@ TEST(TcpServer, HandlerDelayVisibleInWallClock) {
   (void)client.request(bytes_of("x"));
   const double rtt = (timer.now() - before).count();
   EXPECT_GE(rtt, 19.0);
+}
+
+// --------------------------------------------------------------------------
+// Deferred replies
+// --------------------------------------------------------------------------
+
+/// Echo server that answers a request whose first byte is N after N ms on
+/// its loop's timers, and inline when N is 0.
+TcpServer delayed_echo() {
+  return TcpServer([](BytesView req, TcpServer::Reply reply) {
+    const Bytes echo(req.begin(), req.end());
+    if (echo.empty() || echo[0] == 0) {
+      reply.send(echo);
+      return;
+    }
+    auto held = std::make_shared<TcpServer::Reply>(std::move(reply));
+    held->loop().schedule_after(Millis{static_cast<double>(echo[0])},
+                                [held, echo] { held->send(echo); });
+  });
+}
+
+TEST(TcpServer, DeferredRepliesLeaveInRequestOrder) {
+  // Pipelined: the first request finishes last, the third inline at once;
+  // the wire still carries the answers in request order, and the three
+  // waits overlap on the one loop thread.
+  TcpServer server = delayed_echo();
+  Socket client = raw_connect(server.port());
+  const SteadyAuditTimer timer;
+  send_frame(client, Bytes{60, 1});
+  send_frame(client, Bytes{30, 2});
+  send_frame(client, Bytes{0, 3});
+  EXPECT_EQ(recv_frame(client), (Bytes{60, 1}));
+  EXPECT_EQ(recv_frame(client), (Bytes{30, 2}));
+  EXPECT_EQ(recv_frame(client), (Bytes{0, 3}));
+  EXPECT_GE(timer.now().count(), 60.0);
+  EXPECT_LT(timer.now().count(), 85.0);
+}
+
+TEST(TcpServer, ConnectionsDeferIndependently) {
+  // A slow reply on one connection does not hold up another's.
+  TcpServer server = delayed_echo();
+  Socket slow = raw_connect(server.port());
+  send_frame(slow, Bytes{200});
+  TcpRequestChannel fast("127.0.0.1", server.port());
+  const SteadyAuditTimer timer;
+  EXPECT_EQ(fast.request(Bytes{5}), Bytes{5});
+  EXPECT_LT(timer.now().count(), 100.0);
+  EXPECT_EQ(recv_frame(slow), Bytes{200});
+}
+
+TEST(TcpServer, PeerCloseCancelsOutstandingReplies) {
+  std::atomic<int> received{0};
+  std::atomic<int> cancelled{0};
+  std::vector<TcpServer::Reply> held;  // loop thread only
+  TcpServer server([&](BytesView, TcpServer::Reply reply) {
+    reply.on_cancel([&] { ++cancelled; });
+    held.push_back(std::move(reply));
+    ++received;
+  });
+  {
+    Socket client = raw_connect(server.port());
+    send_frame(client, bytes_of("a"));
+    send_frame(client, bytes_of("b"));
+    ASSERT_TRUE(wait_until([&] { return received.load() == 2; }));
+    EXPECT_EQ(cancelled.load(), 0);
+  }  // the requester hangs up with both replies outstanding
+  ASSERT_TRUE(wait_until([&] { return cancelled.load() == 2; }));
+
+  // The handles are no-ops now, and the server keeps serving.
+  std::atomic<bool> answered{false};
+  server.loop().post([&] {
+    for (TcpServer::Reply& reply : held) reply.send(bytes_of("late"));
+    answered = true;
+  });
+  ASSERT_TRUE(wait_until([&] { return answered.load(); }));
+  EXPECT_EQ(cancelled.load(), 2);
+}
+
+TEST(TcpServer, HalfClosedPeerStillGetsCompletedReplies) {
+  TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); });
+  Socket client = raw_connect(server.port());
+  send_frame(client, bytes_of("one"));
+  send_frame(client, bytes_of("two"));
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+  EXPECT_EQ(recv_frame(client), bytes_of("one"));
+  EXPECT_EQ(recv_frame(client), bytes_of("two"));
+  EXPECT_THROW((void)recv_frame(client), NetError);  // then EOF
+}
+
+TEST(TcpServer, ReplyDroppedUnsentDropsOnlyThatConnection) {
+  TcpServer server([](BytesView req, TcpServer::Reply reply) {
+    if (Bytes(req.begin(), req.end()) == bytes_of("drop")) return;
+    reply.send(Bytes(req.begin(), req.end()));
+  });
+  {
+    Socket rogue = raw_connect(server.port());
+    send_frame(rogue, bytes_of("drop"));
+    EXPECT_THROW((void)recv_frame(rogue), NetError);  // EOF from the server
+  }
+  TcpRequestChannel good("127.0.0.1", server.port());
+  EXPECT_EQ(good.request(bytes_of("fine")), bytes_of("fine"));
+}
+
+TEST(TcpServer, StopCancelsOutstandingReplies) {
+  std::atomic<int> received{0};
+  std::atomic<int> cancelled{0};
+  std::vector<TcpServer::Reply> held;  // loop thread, then stop()'s thread
+  TcpServer server([&](BytesView, TcpServer::Reply reply) {
+    reply.on_cancel([&] { ++cancelled; });
+    held.push_back(std::move(reply));
+    ++received;
+  });
+  Socket client = raw_connect(server.port());
+  send_frame(client, bytes_of("x"));
+  ASSERT_TRUE(wait_until([&] { return received.load() == 1; }));
+  server.stop();
+  EXPECT_EQ(cancelled.load(), 1);
+  EXPECT_THROW((void)recv_frame(client), NetError);
 }
 
 }  // namespace
