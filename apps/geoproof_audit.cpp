@@ -25,13 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "app_shell.hpp"
 #include "common/errors.hpp"
-#include "common/flags.hpp"
-#include "common/log.hpp"
 #include "daemon/auditor_client.hpp"
 #include "daemon/track_stream.hpp"
-#include "obs/metrics.hpp"
-#include "obs/metrics_server.hpp"
 #include "obs/span.hpp"
 
 namespace {
@@ -60,7 +57,7 @@ int run(int argc, char** argv) {
   std::vector<std::string> vantage_specs;
   std::uint64_t prover_port = 0;
   std::uint64_t rounds = 8;
-  std::string log_level = "info";
+  apps::CommonFlags common;
   bool track = false;
   std::uint64_t sweeps = 10;
   double interval_ms = 0.0;
@@ -100,35 +97,16 @@ int run(int argc, char** argv) {
   flags.add("fence-lon", &fence_lon, "geo-fence centre longitude");
   flags.add("fence-radius-km", &fence_radius_km,
             "geo-fence radius (0 = no fence)");
-  std::int64_t metrics_port = -1;
-  flags.add("metrics-port", &metrics_port,
-            "serve /metrics + /statusz on this port while streaming "
-            "(--track only; 0 = kernel-chosen, printed as METRICS port=N; "
-            "-1 = off)");
-  add_log_level_flag(flags, &log_level);
-
-  switch (flags.parse(argc, argv)) {
-    case FlagParser::ParseStatus::kHelp:
-      std::fputs(flags.usage().c_str(), stdout);
-      return 0;
-    case FlagParser::ParseStatus::kError:
-      std::fprintf(stderr, "geoproof-audit: %s\n%s", flags.error().c_str(),
-                   flags.usage().c_str());
-      return 2;
-    case FlagParser::ParseStatus::kOk:
-      break;
+  apps::add_common_flags(
+      flags, common,
+      "serve /metrics + /statusz on this port while streaming "
+      "(--track only; 0 = kernel-chosen, printed as METRICS port=N; "
+      "-1 = off)");
+  if (const auto exit_code =
+          apps::parse_flags("geoproof-audit", flags, common, argc, argv)) {
+    return *exit_code;
   }
-  std::string level_error;
-  if (!apply_log_level(log_level, level_error)) {
-    std::fprintf(stderr, "geoproof-audit: %s\n%s", level_error.c_str(),
-                 flags.usage().c_str());
-    return 2;
-  }
-  if (metrics_port > 65535) {
-    std::fprintf(stderr, "geoproof-audit: --metrics-port out of range\n");
-    return 2;
-  }
-  if (metrics_port >= 0 && !track) {
+  if (common.metrics_port >= 0 && !track) {
     std::fprintf(stderr,
                  "geoproof-audit: --metrics-port requires --track (one-shot "
                  "stdout is a single JSON document)\n");
@@ -165,12 +143,12 @@ int run(int argc, char** argv) {
     // never reads a dead recorder.
     obs::SpanRecorder span_recorder;
     std::unique_ptr<obs::MetricsServer> metrics_server;
-    if (metrics_port >= 0) {
+    if (common.metrics_port >= 0) {
       obs::Registry& registry = obs::Registry::process();
       stream.auditor.metrics = &registry;
       stream.spans = &span_recorder;
       obs::MetricsServer::Options options;
-      options.port = static_cast<std::uint16_t>(metrics_port);
+      options.port = static_cast<std::uint16_t>(common.metrics_port);
       options.spans = &span_recorder;
       metrics_server = std::make_unique<obs::MetricsServer>(registry, options);
       std::printf("METRICS port=%u\n", metrics_server->port());
@@ -202,10 +180,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "geoproof-audit: fatal: %s\n", err.what());
-    return 1;
-  }
+  return geoproof::apps::guarded_main("geoproof-audit", run, argc, argv);
 }

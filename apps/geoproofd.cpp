@@ -13,20 +13,12 @@
 // chosen port rides the READY line. Everything else is logfmt on stderr.
 // Exit codes: 0 clean shutdown, 2 flag error, 1 fatal.
 
-#include <unistd.h>
-
 #include <cstdio>
-#include <exception>
-#include <memory>
 #include <string>
 
-#include "common/flags.hpp"
+#include "app_shell.hpp"
 #include "common/log.hpp"
 #include "daemon/prover_daemon.hpp"
-#include "daemon/signal.hpp"
-#include "net/async.hpp"
-#include "obs/metrics.hpp"
-#include "obs/metrics_server.hpp"
 
 namespace {
 
@@ -34,7 +26,7 @@ int run(int argc, char** argv) {
   using namespace geoproof;
 
   daemon::ProverConfig config;
-  std::string log_level = "info";
+  apps::CommonFlags common;
   FlagParser flags("geoproofd", "GeoProof prover/provider daemon");
   flags.add("host", &config.host, "address to bind");
   std::uint64_t port = 0;
@@ -44,74 +36,29 @@ int run(int argc, char** argv) {
   flags.add("seed", &config.seed, "file content + key seed");
   flags.add("stall-ms", &config.stall_ms,
             "adversarial stall added to every answer");
-  std::int64_t metrics_port = -1;
-  flags.add("metrics-port", &metrics_port,
-            "serve /metrics + /statusz on this port (0 = kernel-chosen, "
-            "printed in READY; -1 = off)");
-  add_log_level_flag(flags, &log_level);
-
-  switch (flags.parse(argc, argv)) {
-    case FlagParser::ParseStatus::kHelp:
-      std::fputs(flags.usage().c_str(), stdout);
-      return 0;
-    case FlagParser::ParseStatus::kError:
-      std::fprintf(stderr, "geoproofd: %s\n%s", flags.error().c_str(),
-                   flags.usage().c_str());
-      return 2;
-    case FlagParser::ParseStatus::kOk:
-      break;
+  apps::add_common_flags(flags, common);
+  if (const auto exit_code =
+          apps::parse_flags("geoproofd", flags, common, argc, argv)) {
+    return *exit_code;
   }
   config.port = static_cast<std::uint16_t>(port);
-  std::string level_error;
-  if (!apply_log_level(log_level, level_error)) {
-    std::fprintf(stderr, "geoproofd: %s\n%s", level_error.c_str(),
-                 flags.usage().c_str());
-    return 2;
-  }
-  if (metrics_port > 65535) {
-    std::fprintf(stderr, "geoproofd: --metrics-port out of range\n");
-    return 2;
-  }
   const std::string metrics_host = config.host;
 
   daemon::ShutdownSignal shutdown;
   daemon::ProverDaemon prover(std::move(config));
+  const auto metrics_server =
+      apps::start_metrics(common, metrics_host, "geoproof_prover", [&prover] {
+        return obs::Fields{{"requests_served_total", prover.requests_served()},
+                           {"segments", prover.n_segments()}};
+      });
 
-  std::unique_ptr<obs::MetricsServer> metrics_server;
-  if (metrics_port >= 0) {
-    obs::Registry& registry = obs::Registry::process();
-    registry.add_snapshot("geoproof_prover", [&prover] {
-      return obs::Fields{
-          {"requests_served_total", prover.requests_served()},
-          {"segments", prover.n_segments()}};
-    });
-    obs::MetricsServer::Options options;
-    options.host = metrics_host;
-    options.port = static_cast<std::uint16_t>(metrics_port);
-    metrics_server = std::make_unique<obs::MetricsServer>(registry, options);
-  }
-
-  std::printf("READY port=%u", prover.port());
-  if (metrics_server != nullptr) {
-    std::printf(" metrics_port=%u", metrics_server->port());
-  }
-  std::printf("\n");
+  apps::print_ready(prover.port(), metrics_server.get());
   std::printf("FILE id=%llu segments=%llu segment_bytes=%zu\n",
               static_cast<unsigned long long>(prover.file_id()),
               static_cast<unsigned long long>(prover.n_segments()),
               prover.segment_bytes());
   std::fflush(stdout);
-
-  // Park the main thread on its own loop watching the signal pipe; the
-  // server pumps its own loop on its own thread.
-  net::EventLoop loop;
-  loop.add_fd(shutdown.fd(), /*want_read=*/true, /*want_write=*/false,
-              [&](bool, bool, bool) {
-                shutdown.consume();
-                loop.stop();
-              });
-  loop.run();
-  loop.remove_fd(shutdown.fd());
+  apps::wait_for_shutdown(shutdown);
 
   log::info("geoproofd", "shutting down",
             {{"signal", shutdown.received()},
@@ -123,10 +70,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "geoproofd: fatal: %s\n", err.what());
-    return 1;
-  }
+  return geoproof::apps::guarded_main("geoproofd", run, argc, argv);
 }

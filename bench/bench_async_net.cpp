@@ -1,10 +1,8 @@
 // Async transport throughput: audits/sec over real TCP at 1/8/64 in-flight
-// sessions, blocking vs event-loop transport at equal thread count (one
-// auditor thread either way). Each provider is its own TcpServer with a
-// fixed per-request service delay, so the blocking transport pays
-// N x k x (rtt + service) per sweep while the async transport overlaps the
-// waits and pays ~k x (rtt + service) — the headline number of the
-// event-loop net layer (target: >= 2x at 8 in-flight sessions).
+// sessions on one auditor thread. Each provider is its own TcpServer with a
+// fixed per-request service delay; the auditor holds every provider's
+// session on one EventLoop, so a sweep of N providers pays about
+// k x (rtt + service), not N times that.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,8 +25,8 @@ using namespace geoproof::core;
 constexpr net::GeoPoint kSite{-27.47, 153.02};
 constexpr std::uint32_t kChallenge = 4;
 /// Per-request provider service time, at the paper's disk look-up scale
-/// (§V-C(b): ~5-13 ms). This is the wait the blocking transport parks a
-/// thread on and the async transport overlaps.
+/// (§V-C(b): ~5-13 ms). This is the wait the event loop overlaps across
+/// providers.
 constexpr auto kServiceDelay = std::chrono::milliseconds(5);
 
 por::PorParams bench_params() {
@@ -94,42 +92,6 @@ struct Fleet {
     return vcfg;
   }
 };
-
-/// Blocking baseline: one auditor thread audits the N providers one after
-/// another, parking on every round trip.
-void BM_BlockingTcpAudits(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Fleet fleet(n);
-  std::vector<std::unique_ptr<net::TcpRequestChannel>> channels;
-  std::vector<std::unique_ptr<VerifierDevice>> devices;
-  for (std::size_t i = 0; i < n; ++i) {
-    channels.push_back(std::make_unique<net::TcpRequestChannel>(
-        "127.0.0.1", fleet.providers[i]->server->port()));
-    devices.push_back(std::make_unique<VerifierDevice>(
-        Fleet::device_config(), *channels.back(), fleet.timer));
-  }
-
-  unsigned passed = 0;
-  std::uint64_t audited = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      passed += fleet.scheme
-                    ->audit_once(fleet.record(i), kChallenge, *devices[i])
-                    .accepted;
-    }
-    audited += n;
-    benchmark::DoNotOptimize(passed);
-  }
-  if (passed != audited) {
-    state.SkipWithError("blocking audits failed");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.counters["in_flight"] = benchmark::Counter(1.0);
-  state.counters["providers"] = benchmark::Counter(static_cast<double>(n));
-}
-BENCHMARK(BM_BlockingTcpAudits)->Arg(1)->Arg(8)->Arg(64)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Event-loop transport: the same auditor thread holds all N sessions in
 /// flight on one EventLoop, overlapping every provider's service delay.

@@ -3,18 +3,20 @@
 //
 // The "provider" is a loopback TCP server with a configurable artificial
 // look-up delay standing in for disk + distance; three scenarios show the
-// audit verdict tracking the injected latency.
+// audit verdict tracking the injected latency. Each audit is a session on
+// an EventLoop over net::AsyncTcpChannel, pumped until its report lands.
 //
 // Run: ./build/examples/tcp_geoproof
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <thread>
+#include <memory>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "core/transcript.hpp"
 #include "core/verifier.hpp"
+#include "net/async.hpp"
 #include "net/tcp.hpp"
 #include "por/encoder.hpp"
 
@@ -36,20 +38,25 @@ int main() {
               static_cast<unsigned long long>(file.n_segments),
               params.segment_bytes());
 
-  // Provider: TCP server with injectable look-up delay.
+  // Provider: TCP server with injectable look-up delay, answered from a
+  // timer on the server's loop.
   std::atomic<int> lookup_delay_ms{0};
-  net::TcpServer server([&](BytesView request) {
+  net::TcpServer server([&](BytesView request, net::TcpServer::Reply reply) {
     const Bytes& segment = lookup_segment(file, request);
     const int delay = lookup_delay_ms.load();
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+    if (delay == 0) {
+      reply.send(segment);
+      return;
     }
-    return segment;
+    auto held = std::make_shared<net::TcpServer::Reply>(std::move(reply));
+    held->loop().schedule_after(Millis{static_cast<double>(delay)},
+                                [held, &segment] { held->send(segment); });
   });
   std::printf("provider listening on 127.0.0.1:%u\n", server.port());
 
   // Verifier device + TPA.
-  net::TcpRequestChannel channel("127.0.0.1", server.port());
+  net::EventLoop loop;
+  net::AsyncTcpChannel channel(loop, "127.0.0.1", server.port());
   net::SteadyAuditTimer timer;
   VerifierDevice::Config vcfg;
   vcfg.position = {-27.4698, 153.0251};
@@ -67,10 +74,11 @@ int main() {
               acfg.policy.max_round_trip().count());
 
   const auto audit = [&](const char* label) {
-    const AuditRequest request = scheme.make_request(record, 10);
-    const SignedTranscript transcript = verifier.run_audit(request);
-    const AuditReport report = scheme.verify(record, transcript);
-    std::printf("%-34s %s\n", label, report.summary().c_str());
+    std::optional<AuditReport> report;
+    scheme.begin_audit(record, 10, verifier,
+                       [&](AuditReport&& r) { report = std::move(r); });
+    while (!report) loop.pump(Millis{50.0});
+    std::printf("%-34s %s\n", label, report->summary().c_str());
   };
 
   audit("local provider (no delay):");

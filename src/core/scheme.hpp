@@ -237,9 +237,9 @@ class AuditScheme {
   void begin_audit(const FileRecord& file, std::uint32_t k,
                    VerifierDevice& device, AuditCompletion done);
 
-  /// Blocking adapter over begin_audit via the device's blocking
-  /// run_audit adapter: plan, run, verify, return. Equivalent to the
-  /// historical make_request + run_audit + verify wiring.
+  /// Blocking form of begin_audit, for a device wired to a
+  /// net::RequestChannel: plan, run, verify, return. Equivalent to
+  /// make_request + run_audit + verify.
   AuditReport audit_once(const FileRecord& file, std::uint32_t k,
                          VerifierDevice& device);
 

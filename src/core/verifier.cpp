@@ -9,16 +9,6 @@
 
 namespace geoproof::core {
 
-VerifierDevice::VerifierDevice(Config config, net::RequestChannel& channel,
-                               const net::AuditTimer& timer)
-    : config_(std::move(config)),
-      adapter_(std::make_unique<net::BlockingChannelAdapter>(channel)),
-      channel_(adapter_.get()),
-      timer_(&timer),
-      gps_(config_.position),
-      signer_(config_.signer_seed, config_.signer_height),
-      rng_(config_.challenge_seed) {}
-
 VerifierDevice::VerifierDevice(Config config, net::AsyncChannel& channel,
                                const net::AuditTimer& timer)
     : config_(std::move(config)),
@@ -118,8 +108,8 @@ void VerifierDevice::begin_session(const AuditRequest& request, bool sign,
 void VerifierDevice::step(const std::shared_ptr<Session>& session) {
   // Timed rounds of the distance-bounding phase (Fig. 5). Each completion
   // continues the session: on a real event loop it calls step() again
-  // from a later reactor turn; when it fires inline (a blocking channel)
-  // it only flags the next round and this loop issues it, so the stack
+  // from a later reactor turn; when it fires inline (a RequestChannel) it
+  // only flags the next round and this loop issues it, so the stack
   // stays flat however large k is.
   do {
     AuditTranscript& t = session->t;
@@ -173,7 +163,7 @@ void VerifierDevice::on_round(const std::shared_ptr<Session>& session,
 
 VerifierDevice::AuditOutcome VerifierDevice::run_session(
     const AuditRequest& request, bool sign) {
-  if (adapter_ == nullptr) {
+  if (dynamic_cast<net::RequestChannel*>(channel_) == nullptr) {
     // Refuse before issuing any request: starting the session and then
     // throwing would leave an in-flight completion holding a pointer to
     // this frame's locals.
@@ -181,13 +171,10 @@ VerifierDevice::AuditOutcome VerifierDevice::run_session(
         "run_audit: device wired to an async channel; use begin_audit and "
         "pump the channel's loop");
   }
+  // A RequestChannel completes inline: the session is over on return.
   std::optional<AuditOutcome> outcome;
   begin_session(request, sign,
                 [&outcome](AuditOutcome&& out) { outcome = std::move(out); });
-  if (!outcome) {
-    throw ProtocolError(
-        "run_audit: blocking channel did not complete inline");
-  }
   if (!outcome->ok()) {
     // Rethrow the original fault (CryptoError, StorageError, ...) when
     // there is one; only anonymous transport failures become NetError.

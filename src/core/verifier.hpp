@@ -10,10 +10,10 @@
 // The protocol core is the session form begin_audit(): a session advances
 // one challenge round per channel completion, so one event-loop thread can
 // hold many devices' distance-bounding sessions in flight at once. Rounds
-// whose completions fire inline (a blocking channel) run in a loop, not a
-// recursion, so a k-round audit never nests k frames deep. The blocking
-// run_audit() is a thin adapter: begin_audit over a blocking channel,
-// whose completions always fire inline.
+// whose completions fire inline (a net::RequestChannel) run in a loop, not
+// a recursion, so a k-round audit never nests k frames deep. The blocking
+// run_audit() is begin_audit over a net::RequestChannel, whose
+// completions always fire inline.
 #pragma once
 
 #include <exception>
@@ -23,7 +23,6 @@
 #include "core/gps.hpp"
 #include "core/transcript.hpp"
 #include "crypto/signature.hpp"
-#include "net/async.hpp"
 #include "net/channel.hpp"
 
 namespace geoproof::obs {
@@ -47,17 +46,12 @@ class VerifierDevice {
     std::uint64_t challenge_seed = 0xc4a11e;
   };
 
-  /// Blocking wiring: `channel` is the LAN link to the provider; `timer`
-  /// the device's clock (virtual in simulation, steady_clock over TCP).
-  /// Internally the channel is lifted into an AsyncChannel adapter, so
-  /// run_audit() and begin_audit() share one protocol implementation.
-  VerifierDevice(Config config, net::RequestChannel& channel,
-                 const net::AuditTimer& timer);
-
-  /// Async wiring: the device issues its timed rounds on `channel` and its
-  /// sessions complete as the caller pumps the channel's EventLoop (or
-  /// EventQueue). Only begin_audit() works on this wiring; the blocking
-  /// run_audit()/run_audit_batch() throw ProtocolError.
+  /// `channel` is the LAN link to the provider; `timer` the device's clock
+  /// (virtual in simulation, steady_clock over TCP). The device issues its
+  /// timed rounds on `channel`, and its sessions complete as the caller
+  /// pumps the channel's EventLoop (or EventQueue). The blocking
+  /// run_audit()/run_audit_batch() need a net::RequestChannel, which
+  /// completes inline; on any other channel they throw ProtocolError.
   VerifierDevice(Config config, net::AsyncChannel& channel,
                  const net::AuditTimer& timer);
 
@@ -74,7 +68,7 @@ class VerifierDevice {
   /// How one audit session concluded: the signed transcript on success, a
   /// diagnostic when the transport or device failed mid-session. `fault`
   /// carries the original exception (when the failure was one) so the
-  /// blocking run_audit adapter can rethrow the exact type — a CryptoError
+  /// blocking run_audit can rethrow the exact type — a CryptoError
   /// from key exhaustion must not come back out as a NetError.
   struct AuditOutcome {
     SignedTranscript transcript;
@@ -100,9 +94,10 @@ class VerifierDevice {
   /// is serialised by the single-threaded completion contract).
   void begin_audit(const AuditRequest& request, AuditCallback done);
 
-  /// Blocking adapter over begin_audit on a device wired to a blocking
-  /// RequestChannel (throws ProtocolError on async wiring). Transport
-  /// errors surface as exceptions (NetError et al.).
+  /// begin_audit run to completion on a device wired to a
+  /// net::RequestChannel (throws ProtocolError, before any request, on
+  /// other channels). Transport errors surface as exceptions (NetError et
+  /// al.).
   SignedTranscript run_audit(const AuditRequest& request);
 
   /// Run a batch of audits back to back and sign the whole batch with ONE
@@ -137,8 +132,6 @@ class VerifierDevice {
                 net::AsyncResult&& result);
 
   Config config_;
-  /// Owned adapter when constructed over a blocking RequestChannel.
-  std::unique_ptr<net::BlockingChannelAdapter> adapter_;
   net::AsyncChannel* channel_;
   const net::AuditTimer* timer_;
   GpsDevice gps_;

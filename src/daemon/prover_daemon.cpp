@@ -1,6 +1,6 @@
 #include "daemon/prover_daemon.hpp"
 
-#include <thread>
+#include <memory>
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
@@ -27,7 +27,9 @@ ProverDaemon::ProverDaemon(ProverConfig config) : config_(std::move(config)) {
              {"segment_bytes", static_cast<std::uint64_t>(file_.segment_bytes)}});
 
   server_ = std::make_unique<net::TcpServer>(
-      [this](BytesView request) { return serve(request); },
+      [this](BytesView request, net::TcpServer::Reply reply) {
+        serve(request, std::move(reply));
+      },
       net::TcpServer::Options{config_.host, config_.port, /*backlog=*/64});
   log::info("prover", "listening",
             {{"host", config_.host}, {"port", server_->port()}});
@@ -37,13 +39,23 @@ void ProverDaemon::stop() {
   if (server_) server_->stop();
 }
 
-Bytes ProverDaemon::serve(BytesView request) {
+void ProverDaemon::serve(BytesView request, net::TcpServer::Reply reply) {
   const Bytes& segment = core::lookup_segment(file_, request);
-  if (config_.stall_ms > 0.0) {
-    std::this_thread::sleep_for(to_nanos(Millis{config_.stall_ms}));
+  if (config_.stall_ms <= 0.0) {
+    served_.fetch_add(1, std::memory_order_relaxed);
+    reply.send(segment);
+    return;
   }
-  served_.fetch_add(1, std::memory_order_relaxed);
-  return segment;
+  // The stall is a timer on the serving loop: other requests proceed
+  // meanwhile, and a requester that hangs up cancels its answer.
+  net::EventLoop& loop = reply.loop();
+  auto held = std::make_shared<net::TcpServer::Reply>(std::move(reply));
+  const net::EventLoop::TimerId timer = loop.schedule_after(
+      Millis{config_.stall_ms}, [this, held, &segment] {
+        served_.fetch_add(1, std::memory_order_relaxed);
+        held->send(segment);
+      });
+  held->on_cancel([&loop, timer] { loop.cancel_timer(timer); });
 }
 
 }  // namespace geoproof::daemon

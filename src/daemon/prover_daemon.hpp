@@ -9,8 +9,8 @@
 // harness with struct.pack) is indistinguishable from a local verifier.
 //
 // Misbehaviour is configuration, mirroring CloudProvider: `stall_ms`
-// delays every answer inside the handler (the paper's outsourced-storage
-// signature: the timed round trip inflates), without touching the data.
+// delays every answer (the paper's outsourced-storage signature: the timed
+// round trip inflates), without touching the data.
 #pragma once
 
 #include <atomic>
@@ -32,9 +32,9 @@ struct ProverConfig {
   std::uint64_t file_id = 1;
   std::uint64_t file_bytes = 64 * 1024;
   std::uint64_t seed = 0x6e0d;
-  /// Adversarial stall added to every served request (0 = honest). The
-  /// handler sleeps on the serving thread, so the stall also back-pressures
-  /// pipelined probes — the shape a genuinely remote store produces.
+  /// Adversarial stall added to every served request (0 = honest). Each
+  /// answer waits on its own loop timer, so concurrent requests stall side
+  /// by side, and a requester that hangs up mid-stall is never answered.
   double stall_ms = 0.0;
 };
 
@@ -48,7 +48,7 @@ class ProverDaemon {
   std::uint64_t n_segments() const { return file_.n_segments; }
   std::size_t segment_bytes() const { return file_.segment_bytes; }
 
-  /// Requests answered so far (any thread).
+  /// Answers sent so far (any thread).
   std::uint64_t requests_served() const {
     return served_.load(std::memory_order_relaxed);
   }
@@ -58,7 +58,7 @@ class ProverDaemon {
   void stop();
 
  private:
-  Bytes serve(BytesView request);
+  void serve(BytesView request, net::TcpServer::Reply reply);
 
   ProverConfig config_;
   por::EncodedFile file_;

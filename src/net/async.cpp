@@ -41,18 +41,6 @@ void Socket::close() noexcept {
 }
 
 // --------------------------------------------------------------------------
-// BlockingChannelAdapter
-// --------------------------------------------------------------------------
-
-AsyncChannel::RequestId BlockingChannelAdapter::begin_request(
-    BytesView message, CompletionFn done, Millis /*deadline*/) {
-  const RequestId id = next_id_++;
-  Bytes response = inner_->request(message);
-  done(AsyncResult{AsyncStatus::kOk, std::move(response), {}});
-  return id;
-}
-
-// --------------------------------------------------------------------------
 // SimAsyncChannel
 // --------------------------------------------------------------------------
 

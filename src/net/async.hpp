@@ -1,6 +1,6 @@
-// The non-blocking transport core: an event-loop reactor, the AsyncChannel
-// request interface, and the simulated async channel that replays the
-// virtual-latency model on the same API.
+// The non-blocking transport core: the event-loop reactor and the
+// simulated async channel that replays the virtual-latency model on the
+// net::AsyncChannel interface (net/channel.hpp).
 //
 // Asynchrony lives here, where a socket needs it. One thread pumping one
 // EventLoop drives many in-flight request/response exchanges:
@@ -11,10 +11,8 @@
 // loop. SimAsyncChannel replays the virtual-latency model on the same API,
 // pumped by an EventQueue, so the session form stays deterministic under
 // test. The simulated measurement layers above (distbound, locate) stay
-// plain sequential loops. The blocking RequestChannel (channel.hpp)
-// remains as the adapter surface: BlockingChannelAdapter lifts any
-// RequestChannel into an AsyncChannel whose completions fire inline, so
-// the blocking entry points share the session code.
+// plain sequential loops, and the simulator's blocking RequestChannel
+// completes inline on the same interface.
 //
 // ## Thread-safety contract
 //
@@ -68,74 +66,6 @@ class Socket {
 
  private:
   int fd_ = -1;
-};
-
-/// How an asynchronous request concluded.
-enum class AsyncStatus {
-  kOk,         // response delivered
-  kError,      // transport or handler failure (see AsyncResult::error)
-  kTimeout,    // per-request deadline expired before the response
-  kCancelled,  // cancel() or channel teardown
-};
-
-/// Completion payload for one begin_request(): the response bytes on kOk,
-/// a diagnostic message otherwise.
-struct AsyncResult {
-  AsyncStatus status = AsyncStatus::kError;
-  Bytes payload;
-  std::string error;
-
-  bool ok() const { return status == AsyncStatus::kOk; }
-};
-
-/// Non-blocking request/response transport. begin_request() returns
-/// immediately and the completion fires when the response (or a failure)
-/// arrives, on the thread pumping the channel's EventLoop (or EventQueue,
-/// in simulation). Completions MAY fire inline within begin_request (the
-/// blocking adapter always completes inline); callers must tolerate both.
-class AsyncChannel {
- public:
-  /// Correlation id of one in-flight request, unique per channel; used to
-  /// cancel and to match deadline bookkeeping.
-  using RequestId = std::uint64_t;
-  using CompletionFn = std::function<void(AsyncResult&&)>;
-
-  virtual ~AsyncChannel() = default;
-
-  /// Issue a request. `deadline` (zero = none) bounds the wait for the
-  /// response; expiry completes the request with kTimeout and any late
-  /// response is discarded.
-  virtual RequestId begin_request(BytesView message, CompletionFn done,
-                                  Millis deadline) = 0;
-  RequestId begin_request(BytesView message, CompletionFn done) {
-    return begin_request(message, std::move(done), Millis{0});
-  }
-
-  /// Cancel an in-flight request: its completion fires with kCancelled
-  /// before cancel() returns, and any late response is discarded. Returns
-  /// false when the id is unknown or already completed.
-  virtual bool cancel(RequestId id) = 0;
-};
-
-/// Lifts a blocking RequestChannel into the AsyncChannel API: the request
-/// executes synchronously inside begin_request and the completion fires
-/// inline. Exceptions from the underlying channel/handler propagate to
-/// the begin_request caller unchanged — exactly the legacy blocking
-/// contract, which is what keeps run_audit-style adapters behaviourally
-/// identical to the pre-async code. `deadline` is unenforceable on a
-/// blocking transport and is ignored.
-class BlockingChannelAdapter final : public AsyncChannel {
- public:
-  explicit BlockingChannelAdapter(RequestChannel& inner) : inner_(&inner) {}
-
-  RequestId begin_request(BytesView message, CompletionFn done,
-                          Millis deadline) override;
-  using AsyncChannel::begin_request;
-  bool cancel(RequestId) override { return false; }
-
- private:
-  RequestChannel* inner_;
-  RequestId next_id_ = 1;
 };
 
 /// Simulated async channel: completions are EventQueue events, so many

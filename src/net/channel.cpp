@@ -4,6 +4,14 @@
 
 namespace geoproof::net {
 
+AsyncChannel::RequestId RequestChannel::begin_request(BytesView message,
+                                                      CompletionFn done,
+                                                      Millis /*deadline*/) {
+  const RequestId id = next_id_++;
+  done(AsyncResult{AsyncStatus::kOk, request(message), {}});
+  return id;
+}
+
 SteadyAuditTimer::SteadyAuditTimer()
     : start_(std::chrono::steady_clock::now()) {}
 

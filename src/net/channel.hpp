@@ -1,35 +1,31 @@
-// Request/response channel abstraction used by every protocol engine in the
-// library, plus simulated implementations and the audit timer.
+// The request/response interface every protocol engine in the library is
+// written against, plus the simulated channel and the audit timer.
 //
-// GeoProof's timed phase is strictly sequential per session (send index,
-// await segment), but nothing requires the *auditor* to serve sessions one
-// at a time. The same protocol code runs over a virtual-time channel
-// (deterministic benches) or a real TCP connection (integration tests) by
-// swapping the channel and the timer.
+// net::AsyncChannel is the one request interface: begin_request() with a
+// completion callback, a per-request deadline and cancellation, pumped by
+// an EventLoop (real sockets, net/tcp.hpp) or an EventQueue (virtual time,
+// net/async.hpp). GeoProof's timed phase is strictly sequential per session
+// (send index, await segment), but nothing requires the *auditor* to serve
+// sessions one at a time, so VerifierDevice, AuditScheme and AuditService
+// advance a session one round per completion.
 //
-// ## Migration note: RequestChannel is now an adapter surface
+// net::RequestChannel is the simulator's blocking form of the same
+// interface: a subclass implements request(), and begin_request() calls it
+// and completes inline, with exceptions propagating to the caller.
+// SimRequestChannel, CloudProvider's relay and the blocking entry points
+// (VerifierDevice::run_audit, AuditScheme::audit_once) rely on that.
 //
-// The primary transport abstraction is net::AsyncChannel (net/async.hpp):
-// begin_request() with a completion callback, a per-request deadline and
-// cancellation, pumped by an EventLoop (real sockets) or an EventQueue
-// (virtual time). The blocking RequestChannel below remains fully
-// supported, but the protocol engines no longer loop over request()
-// directly — VerifierDevice, AuditScheme and AuditService implement the
-// async session form and re-derive their blocking entry points through
-// net::BlockingChannelAdapter, which lifts any RequestChannel into an
-// AsyncChannel whose completions fire inline (and whose exceptions still
-// propagate to the caller, preserving the legacy contract).
-//
-// Thread-safety contract: a RequestChannel is confined to one thread at a
-// time, exactly like the AsyncChannel it adapts into — channels, their
-// completions and the EventLoop/EventQueue pumping them are loop-thread-
-// only (see net/async.hpp); only EventLoop::post()/stop() may be called
-// cross-thread. New code should program against AsyncChannel and keep
-// RequestChannel for strictly sequential, single-session wiring.
+// Thread-safety contract: a channel, its completions and the
+// EventLoop/EventQueue pumping them are confined to one thread at a time
+// (see net/async.hpp); only EventLoop::post()/stop() may be called
+// cross-thread.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
@@ -39,11 +35,68 @@
 
 namespace geoproof::net {
 
-/// Blocking request/response transport.
-class RequestChannel {
+/// How an asynchronous request concluded.
+enum class AsyncStatus {
+  kOk,         // response delivered
+  kError,      // transport or handler failure (see AsyncResult::error)
+  kTimeout,    // per-request deadline expired before the response
+  kCancelled,  // cancel() or channel teardown
+};
+
+/// Completion payload for one begin_request(): the response bytes on kOk,
+/// a diagnostic message otherwise.
+struct AsyncResult {
+  AsyncStatus status = AsyncStatus::kError;
+  Bytes payload;
+  std::string error;
+
+  bool ok() const { return status == AsyncStatus::kOk; }
+};
+
+/// Request/response transport. begin_request() returns once the request
+/// is issued and the completion fires when the response (or a failure)
+/// arrives, on the thread pumping the channel's EventLoop (or EventQueue,
+/// in simulation). Completions MAY fire inline within begin_request (a
+/// RequestChannel always completes inline); callers must tolerate both.
+class AsyncChannel {
  public:
-  virtual ~RequestChannel() = default;
+  /// Correlation id of one in-flight request, unique per channel; used to
+  /// cancel and to match deadline bookkeeping.
+  using RequestId = std::uint64_t;
+  using CompletionFn = std::function<void(AsyncResult&&)>;
+
+  virtual ~AsyncChannel() = default;
+
+  /// Issue a request. `deadline` (zero = none) bounds the wait for the
+  /// response; expiry completes the request with kTimeout and any late
+  /// response is discarded.
+  virtual RequestId begin_request(BytesView message, CompletionFn done,
+                                  Millis deadline) = 0;
+  RequestId begin_request(BytesView message, CompletionFn done) {
+    return begin_request(message, std::move(done), Millis{0});
+  }
+
+  /// Cancel an in-flight request: its completion fires with kCancelled
+  /// before cancel() returns, and any late response is discarded. Returns
+  /// false when the id is unknown or already completed.
+  virtual bool cancel(RequestId id) = 0;
+};
+
+/// Blocking transport: subclasses implement request(). begin_request()
+/// runs it and completes inline; an exception from request() propagates
+/// to the begin_request caller unchanged. `deadline` is unenforceable on
+/// a blocking call and is ignored; nothing is ever in flight to cancel.
+class RequestChannel : public AsyncChannel {
+ public:
   virtual Bytes request(BytesView message) = 0;
+
+  RequestId begin_request(BytesView message, CompletionFn done,
+                          Millis deadline) final;
+  using AsyncChannel::begin_request;
+  bool cancel(RequestId) final { return false; }
+
+ private:
+  RequestId next_id_ = 1;
 };
 
 /// The server side of a channel: consumes a request, produces a response.

@@ -17,31 +17,6 @@ namespace geoproof::net {
 
 namespace {
 
-void send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw NetError(std::string("send failed: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-void recv_exact(int fd, std::uint8_t* data, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::recv(fd, data + got, len - got, 0);
-    if (n == 0) throw NetError("peer closed connection");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw NetError(std::string("recv failed: ") + std::strerror(errno));
-    }
-    got += static_cast<std::size_t>(n);
-  }
-}
-
 void set_nodelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -54,10 +29,9 @@ void set_nonblocking(int fd) {
   }
 }
 
+/// The one encoder of the framing. Callers keep `payload` within
+/// kMaxFrameBytes.
 void append_frame(Bytes& out, BytesView payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    throw NetError("send_frame: frame too large");
-  }
   const auto len = static_cast<std::uint32_t>(payload.size());
   out.push_back(static_cast<std::uint8_t>(len >> 24));
   out.push_back(static_cast<std::uint8_t>(len >> 16));
@@ -132,20 +106,19 @@ IoStatus flush_buffer(int fd, Bytes& out, std::size_t& out_off,
   return IoStatus::kOk;
 }
 
-Socket connect_loopback(const std::string& host, std::uint16_t port,
-                        const char* who) {
+Socket connect_loopback(const std::string& host, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw NetError(std::string(who) + ": socket() failed");
+  if (fd < 0) throw NetError("AsyncTcpChannel: socket() failed");
   Socket sock(fd);
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw NetError(std::string(who) + ": bad address " + host);
+    throw NetError("AsyncTcpChannel: bad address " + host);
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    throw NetError(std::string(who) + ": connect failed: " +
+    throw NetError(std::string("AsyncTcpChannel: connect failed: ") +
                    std::strerror(errno));
   }
   set_nodelay(fd);
@@ -162,39 +135,6 @@ TcpServer::FrameHandler inline_replies(RequestHandler handler) {
 }
 
 }  // namespace
-
-// --------------------------------------------------------------------------
-// Blocking frame helpers
-// --------------------------------------------------------------------------
-
-void send_frame(const Socket& sock, BytesView payload) {
-  if (!sock.valid()) throw NetError("send_frame: invalid socket");
-  if (payload.size() > kMaxFrameBytes) {
-    throw NetError("send_frame: frame too large");
-  }
-  std::uint8_t header[4];
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  header[0] = static_cast<std::uint8_t>(len >> 24);
-  header[1] = static_cast<std::uint8_t>(len >> 16);
-  header[2] = static_cast<std::uint8_t>(len >> 8);
-  header[3] = static_cast<std::uint8_t>(len);
-  send_all(sock.fd(), header, 4);
-  if (!payload.empty()) send_all(sock.fd(), payload.data(), payload.size());
-}
-
-Bytes recv_frame(const Socket& sock) {
-  if (!sock.valid()) throw NetError("recv_frame: invalid socket");
-  std::uint8_t header[4];
-  recv_exact(sock.fd(), header, 4);
-  const std::uint32_t len = (static_cast<std::uint32_t>(header[0]) << 24) |
-                            (static_cast<std::uint32_t>(header[1]) << 16) |
-                            (static_cast<std::uint32_t>(header[2]) << 8) |
-                            static_cast<std::uint32_t>(header[3]);
-  if (len > kMaxFrameBytes) throw NetError("recv_frame: frame too large");
-  Bytes payload(len);
-  if (len > 0) recv_exact(sock.fd(), payload.data(), len);
-  return payload;
-}
 
 // --------------------------------------------------------------------------
 // FrameAssembler
@@ -506,25 +446,12 @@ void TcpServer::on_conn_stream(Conn& conn, bool peer_closed) {
 }
 
 // --------------------------------------------------------------------------
-// TcpRequestChannel (blocking)
-// --------------------------------------------------------------------------
-
-TcpRequestChannel::TcpRequestChannel(const std::string& host,
-                                     std::uint16_t port)
-    : sock_(connect_loopback(host, port, "TcpRequestChannel")) {}
-
-Bytes TcpRequestChannel::request(BytesView message) {
-  send_frame(sock_, message);
-  return recv_frame(sock_);
-}
-
-// --------------------------------------------------------------------------
 // AsyncTcpChannel
 // --------------------------------------------------------------------------
 
 AsyncTcpChannel::AsyncTcpChannel(EventLoop& loop, const std::string& host,
                                  std::uint16_t port)
-    : loop_(&loop), sock_(connect_loopback(host, port, "AsyncTcpChannel")) {
+    : loop_(&loop), sock_(connect_loopback(host, port)) {
   set_nonblocking(sock_.fd());
   loop_->add_fd(sock_.fd(), /*want_read=*/true, /*want_write=*/false,
                 [this](bool r, bool w, bool e) { on_ready(r, w, e); });

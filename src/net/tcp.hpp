@@ -1,6 +1,5 @@
 // Real-TCP transport over loopback: length-prefixed frames, a non-blocking
-// multiplexing server, and both channel flavours (async event-loop client,
-// blocking legacy client).
+// multiplexing server, and the event-loop client channel.
 //
 // The "manual networking" path of the reproduction: the same protocol
 // engines that run on the simulator also run over genuine sockets, so the
@@ -32,21 +31,16 @@
 
 namespace geoproof::net {
 
-/// Frame payload size cap shared by every frame codepath (blocking helpers,
-/// FrameAssembler, server and clients).
+/// Frame payload size cap shared by every frame codepath (FrameAssembler,
+/// server and client).
 inline constexpr std::size_t kMaxFrameBytes = 64u * 1024 * 1024;
 
-/// Write a length-prefixed frame; throws NetError on failure.
-void send_frame(const Socket& sock, BytesView payload);
-
-/// Read one frame; throws NetError on failure or orderly peer close.
-Bytes recv_frame(const Socket& sock);
-
-/// Incremental frame parser for the non-blocking paths: feed whatever bytes
-/// the socket produced, pop complete frames as they assemble. Handles
-/// payloads split across arbitrarily many reads, including mid-header
-/// splits. Throws NetError from feed() as soon as a header announces a
-/// frame beyond kMaxFrameBytes — before buffering any of its payload.
+/// Incremental frame parser, the one decoder of the framing: feed whatever
+/// bytes the socket produced, pop complete frames as they assemble.
+/// Handles payloads split across arbitrarily many reads, including
+/// mid-header splits. Throws NetError from feed() as soon as a header
+/// announces a frame beyond kMaxFrameBytes — before buffering any of its
+/// payload.
 class FrameAssembler {
  public:
   void feed(BytesView data);
@@ -206,19 +200,6 @@ class TcpServer {
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // loop thread only
   std::thread thread_;
   std::atomic<bool> stopped_{false};
-};
-
-/// Client-side blocking RequestChannel over a persistent TCP connection.
-/// Kept as the simple synchronous client (and the adapter substrate for
-/// legacy blocking audits); new concurrent code uses AsyncTcpChannel.
-class TcpRequestChannel final : public RequestChannel {
- public:
-  TcpRequestChannel(const std::string& host, std::uint16_t port);
-
-  Bytes request(BytesView message) override;
-
- private:
-  Socket sock_;
 };
 
 /// Non-blocking client channel multiplexing many in-flight requests over

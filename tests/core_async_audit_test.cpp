@@ -301,6 +301,12 @@ TEST(AsyncVerifier, RunAuditOnAsyncWiringThrows) {
   EXPECT_THROW(
       (void)site->verifier->run_audit(scheme.make_request(site->record, 3)),
       ProtocolError);
+  EXPECT_THROW((void)site->verifier->run_audit_batch(
+                   {scheme.make_request(site->record, 3)}),
+               ProtocolError);
+  // Refused before any request reached the channel.
+  EXPECT_EQ(site->channel->in_flight(), 0u);
+  EXPECT_EQ(site->channel->exchanges(), 0u);
 }
 
 TEST(AsyncScheme, MidSessionFailureReportsAborted) {

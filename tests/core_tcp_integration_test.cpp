@@ -1,20 +1,23 @@
 // Integration: the full GeoProof protocol engine over a real TCP loopback
 // connection with wall-clock timing - the "manual networking" path. The
 // provider here serves segments from memory with an injectable artificial
-// look-up delay, standing in for a disk at the far end of a socket.
+// look-up delay, standing in for a disk at the far end of a socket. Each
+// audit is a session on an EventLoop over net::AsyncTcpChannel.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <thread>
+#include <memory>
+#include <optional>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "core/transcript.hpp"
 #include "core/verifier.hpp"
+#include "net/async.hpp"
 #include "net/tcp.hpp"
 #include "por/encoder.hpp"
+#include "tcp_client.hpp"
 
 namespace geoproof::core {
 namespace {
@@ -38,14 +41,46 @@ struct TcpWorld {
     Rng rng(1);
     const por::PorEncoder encoder(params);
     file = encoder.encode(rng.next_bytes(30000), file_id, kMaster);
-    server = std::make_unique<net::TcpServer>([this](BytesView request) {
-      const Bytes& segment = lookup_segment(file, request);
-      const int delay = lookup_delay_ms.load();
-      if (delay > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      }
-      return segment;
-    });
+    server = std::make_unique<net::TcpServer>(
+        [this](BytesView request, net::TcpServer::Reply reply) {
+          const Bytes& segment = lookup_segment(file, request);
+          const int delay = lookup_delay_ms.load();
+          if (delay == 0) {
+            reply.send(segment);
+            return;
+          }
+          auto held = std::make_shared<net::TcpServer::Reply>(std::move(reply));
+          held->loop().schedule_after(Millis{static_cast<double>(delay)},
+                                      [held, &segment] { held->send(segment); });
+        });
+  }
+};
+
+/// The verifier device's side of the socket: its own loop and channel.
+struct Device {
+  net::EventLoop loop;
+  net::AsyncTcpChannel channel;
+  net::SteadyAuditTimer timer;
+  VerifierDevice verifier;
+
+  explicit Device(const TcpWorld& world)
+      : channel(loop, "127.0.0.1", world.server->port()),
+        verifier(config(), channel, timer) {}
+
+  static VerifierDevice::Config config() {
+    VerifierDevice::Config vcfg;
+    vcfg.position = {-27.47, 153.02};
+    return vcfg;
+  }
+
+  /// One AuditScheme::begin_audit session, pumped to its report.
+  AuditReport audit(AuditScheme& scheme, const FileRecord& record,
+                    std::uint32_t k) {
+    std::optional<AuditReport> report;
+    scheme.begin_audit(record, k, verifier,
+                       [&](AuditReport&& r) { report = std::move(r); });
+    EXPECT_TRUE(test::pump_until(loop, [&] { return report.has_value(); }));
+    return std::move(report.value());
   }
 };
 
@@ -63,19 +98,13 @@ MacAuditScheme make_scheme(const TcpWorld& world,
 
 TEST(TcpIntegration, HonestAuditOverRealSockets) {
   TcpWorld world;
-  net::TcpRequestChannel channel("127.0.0.1", world.server->port());
-  net::SteadyAuditTimer timer;
-  VerifierDevice::Config vcfg;
-  vcfg.position = {-27.47, 153.02};
-  VerifierDevice verifier(vcfg, channel, timer);
+  Device device(world);
 
   MacAuditScheme scheme =
-      make_scheme(world, verifier.public_key(), Millis{50.0});
+      make_scheme(world, device.verifier.public_key(), Millis{50.0});
   const FileRecord record{world.file.file_id, world.file.n_segments};
 
-  const AuditRequest request = scheme.make_request(record, 15);
-  const SignedTranscript transcript = verifier.run_audit(request);
-  const AuditReport report = scheme.verify(record, transcript);
+  const AuditReport report = device.audit(scheme, record, 15);
   EXPECT_TRUE(report.accepted) << report.summary();
   EXPECT_EQ(report.bad_tags, 0u);
   // Loopback RTTs exist and are sane.
@@ -86,63 +115,53 @@ TEST(TcpIntegration, HonestAuditOverRealSockets) {
 TEST(TcpIntegration, SlowLookupsCaughtByWallClock) {
   TcpWorld world;
   world.lookup_delay_ms = 60;  // a "remote" provider: every round slow
-  net::TcpRequestChannel channel("127.0.0.1", world.server->port());
-  net::SteadyAuditTimer timer;
-  VerifierDevice::Config vcfg;
-  vcfg.position = {-27.47, 153.02};
-  VerifierDevice verifier(vcfg, channel, timer);
+  Device device(world);
 
   MacAuditScheme scheme =
-      make_scheme(world, verifier.public_key(), Millis{10.0});
+      make_scheme(world, device.verifier.public_key(), Millis{10.0});
   const FileRecord record{world.file.file_id, world.file.n_segments};
 
-  const AuditRequest request = scheme.make_request(record, 5);
-  const SignedTranscript transcript = verifier.run_audit(request);
-  const AuditReport report = scheme.verify(record, transcript);
+  const AuditReport report = device.audit(scheme, record, 5);
   EXPECT_FALSE(report.accepted);
   EXPECT_TRUE(report.failed(AuditFailure::kTiming)) << report.summary();
   EXPECT_GE(report.max_rtt.count(), 60.0);
 }
 
 TEST(TcpIntegration, TranscriptSurvivesWireSerialization) {
-  // TPA and verifier on opposite ends: the signed transcript crosses the
-  // wire as bytes and verifies after deserialisation.
+  // TPA and verifier on opposite ends: the request and the signed
+  // transcript cross the wire as bytes and verify after deserialisation.
   TcpWorld world;
-  net::TcpRequestChannel channel("127.0.0.1", world.server->port());
-  net::SteadyAuditTimer timer;
-  VerifierDevice::Config vcfg;
-  vcfg.position = {-27.47, 153.02};
-  VerifierDevice verifier(vcfg, channel, timer);
+  Device device(world);
 
   MacAuditScheme scheme =
-      make_scheme(world, verifier.public_key(), Millis{50.0});
+      make_scheme(world, device.verifier.public_key(), Millis{50.0});
   const FileRecord record{world.file.file_id, world.file.n_segments};
 
   const AuditRequest request =
       AuditRequest::deserialize(scheme.make_request(record, 8).serialize());
-  const Bytes wire = verifier.run_audit(request).serialize();
-  const SignedTranscript transcript = SignedTranscript::deserialize(wire);
+  std::optional<Bytes> wire;
+  device.verifier.begin_audit(
+      request, [&](VerifierDevice::AuditOutcome&& outcome) {
+        ASSERT_TRUE(outcome.ok()) << outcome.error;
+        wire = outcome.transcript.serialize();
+      });
+  ASSERT_TRUE(test::pump_until(device.loop, [&] { return wire.has_value(); }));
+  const SignedTranscript transcript = SignedTranscript::deserialize(*wire);
   EXPECT_TRUE(scheme.verify(record, transcript).accepted);
 }
 
 TEST(TcpIntegration, CorruptSegmentDetectedOverWire) {
   TcpWorld world;
   world.file.segments[4][2] ^= 0x10;  // damage before serving
-  net::TcpRequestChannel channel("127.0.0.1", world.server->port());
-  net::SteadyAuditTimer timer;
-  VerifierDevice::Config vcfg;
-  vcfg.position = {-27.47, 153.02};
-  VerifierDevice verifier(vcfg, channel, timer);
+  Device device(world);
 
   MacAuditScheme scheme =
-      make_scheme(world, verifier.public_key(), Millis{50.0});
+      make_scheme(world, device.verifier.public_key(), Millis{50.0});
   const FileRecord record{world.file.file_id, world.file.n_segments};
 
   // Challenge everything so segment 4 is definitely fetched.
-  const AuditRequest request = scheme.make_request(
-      record, static_cast<std::uint32_t>(world.file.n_segments));
-  const SignedTranscript transcript = verifier.run_audit(request);
-  const AuditReport report = scheme.verify(record, transcript);
+  const AuditReport report = device.audit(
+      scheme, record, static_cast<std::uint32_t>(world.file.n_segments));
   EXPECT_FALSE(report.accepted);
   EXPECT_EQ(report.bad_tags, 1u);
 }

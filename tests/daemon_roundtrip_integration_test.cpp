@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/transcript.hpp"
 #include "daemon/auditor_client.hpp"
 #include "daemon/prover_daemon.hpp"
 #include "daemon/vantage_daemon.hpp"
@@ -28,6 +29,7 @@
 #include "net/channel.hpp"
 #include "net/geo.hpp"
 #include "net/tcp.hpp"
+#include "tcp_client.hpp"
 
 namespace geoproof::daemon {
 namespace {
@@ -250,7 +252,7 @@ TEST(DaemonRoundtrip, VantageAnswersPingOverTheWire) {
   VantageConfig config;
   config.name = "sydney";
   VantageDaemon vantage(config);
-  net::TcpRequestChannel channel("127.0.0.1", vantage.port());
+  test::TcpClient channel(vantage.port());
   const Bytes reply = channel.request(encode(Ping{77}));
   const Pong pong = decode_pong(reply);
   EXPECT_EQ(pong.nonce, 77u);
@@ -262,7 +264,7 @@ TEST(DaemonRoundtrip, MalformedMeasureGetsErrorReplyAndConnectionSurvives) {
   VantageConfig config;
   config.name = "local";
   VantageDaemon vantage(config);
-  net::TcpRequestChannel channel("127.0.0.1", vantage.port());
+  test::TcpClient channel(vantage.port());
 
   MeasureRequest request;
   request.prover_host = "127.0.0.1";
@@ -402,6 +404,45 @@ TEST(DaemonRoundtrip, StalledProverDoesNotHoldUpOtherAuditors) {
   EXPECT_TRUE(b_report->completed) << b_report->error;
   EXPECT_LT(b_ms.count(), 500.0);
   EXPECT_FALSE(a_done);  // A's prover is still sitting on its request
+}
+
+TEST(DaemonRoundtrip, StalledProverAnswersConcurrentRequestersTogether) {
+  // Each answer waits on its own loop timer: K requesters at once wait one
+  // stall, not K of them, and one that hangs up mid-stall is never served.
+  constexpr double kStallMs = 100.0;
+  constexpr std::size_t kRequesters = 4;
+  ProverConfig prover_config = small_prover();
+  prover_config.stall_ms = kStallMs;
+  ProverDaemon prover(prover_config);
+  const Bytes request =
+      core::SegmentRequest{prover.file_id(), 0}.serialize();
+
+  net::EventLoop loop;
+  const net::SteadyAuditTimer timer;
+  auto quitter =
+      std::make_unique<net::AsyncTcpChannel>(loop, "127.0.0.1", prover.port());
+  quitter->begin_request(request, [](net::AsyncResult&&) {});
+  std::vector<std::unique_ptr<net::AsyncTcpChannel>> channels;
+  std::size_t answered = 0;
+  for (std::size_t k = 0; k < kRequesters; ++k) {
+    channels.push_back(std::make_unique<net::AsyncTcpChannel>(
+        loop, "127.0.0.1", prover.port()));
+    channels.back()->begin_request(request, [&](net::AsyncResult&& result) {
+      EXPECT_TRUE(result.ok()) << result.error;
+      ++answered;
+    });
+  }
+  ASSERT_TRUE(
+      test::pump_until(loop, [&] { return timer.now().count() >= 30.0; }));
+  quitter.reset();  // hangs up mid-stall
+
+  ASSERT_TRUE(test::pump_until(loop, [&] { return answered == kRequesters; }));
+  const double all_ms = timer.now().count();
+  EXPECT_GE(all_ms, kStallMs);
+  EXPECT_LT(all_ms, 1.5 * kStallMs);
+  // Past the quitter's stall too: only the answers actually sent count.
+  test::pump_until(loop, [&] { return timer.now().count() >= 2.0 * kStallMs; });
+  EXPECT_EQ(prover.requests_served(), kRequesters);
 }
 
 TEST(DaemonRoundtrip, AuditorCloseCancelsItsSweep) {

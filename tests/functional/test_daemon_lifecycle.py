@@ -25,12 +25,12 @@ def test_prover_handshake_and_segment_fetch():
         try:
             # Two fetches of the same segment must be identical bytes
             # (deterministic store), a different index different bytes.
-            wire.send_frame(sock, wire.segment_request(file_id, 0))
-            first = wire.recv_frame(sock)
-            wire.send_frame(sock, wire.segment_request(file_id, 0))
-            again = wire.recv_frame(sock)
-            wire.send_frame(sock, wire.segment_request(file_id, 1))
-            other = wire.recv_frame(sock)
+            wire.write_frame(sock, wire.segment_request(file_id, 0))
+            first = wire.read_frame(sock)
+            wire.write_frame(sock, wire.segment_request(file_id, 0))
+            again = wire.read_frame(sock)
+            wire.write_frame(sock, wire.segment_request(file_id, 1))
+            other = wire.read_frame(sock)
         finally:
             sock.close()
         assert first, "empty segment"
@@ -46,9 +46,9 @@ def test_prover_rejects_garbage_without_dying():
 
         # A malformed frame drops that connection only.
         bad = wire.connect(port)
-        wire.send_frame(bad, b"\x01\x02\x03")
+        wire.write_frame(bad, b"\x01\x02\x03")
         try:
-            wire.recv_frame(bad)
+            wire.read_frame(bad)
             raise AssertionError("malformed request should drop the conn")
         except (ConnectionError, OSError):
             pass
@@ -58,8 +58,8 @@ def test_prover_rejects_garbage_without_dying():
         # The daemon still serves fresh connections afterwards.
         good = wire.connect(port)
         try:
-            wire.send_frame(good, wire.segment_request(file_id, 0))
-            assert wire.recv_frame(good)
+            wire.write_frame(good, wire.segment_request(file_id, 0))
+            assert wire.read_frame(good)
         finally:
             good.close()
 
@@ -71,8 +71,8 @@ def test_vantage_answers_ping():
         vantage, port = harness.spawn_vantage("sydney")
         sock = wire.connect(port)
         try:
-            wire.send_frame(sock, wire.ping(0xDEADBEEF))
-            nonce, name = wire.parse_pong(wire.recv_frame(sock))
+            wire.write_frame(sock, wire.ping(0xDEADBEEF))
+            nonce, name = wire.parse_pong(wire.read_frame(sock))
         finally:
             sock.close()
         assert nonce == 0xDEADBEEF
@@ -86,8 +86,8 @@ def test_sigterm_exits_zero_even_mid_service():
         # Leave a connection open across the shutdown: teardown must not
         # hang on or crash over a live client.
         sock = wire.connect(port)
-        wire.send_frame(sock, wire.segment_request(file_id, 0))
-        wire.recv_frame(sock)
+        wire.write_frame(sock, wire.segment_request(file_id, 0))
+        wire.read_frame(sock)
         try:
             harness.shutdown_all_clean()
         finally:

@@ -10,7 +10,7 @@ daemons + the auditor CLI, all torn down cleanly.
 import framework
 
 # RTT slope of the emulated world (ms of round trip per km). The vantage
-# sleeps 2 x extra_oneway_ms inside its timed window, so one-way padding
+# waits 2 x extra_oneway_ms inside its timed window, so one-way padding
 # is (slope / 2) x distance.
 RTT_MS_PER_KM = 0.05
 TRUTH = framework.CITIES["brisbane"]

@@ -19,10 +19,10 @@ def _measure(port, prover_port, file_id, n_segments, rounds=4, seed=5,
              max_rtt_ms=0.0):
     sock = wire.connect(port)
     try:
-        wire.send_frame(sock, wire.measure_request(
+        wire.write_frame(sock, wire.measure_request(
             "127.0.0.1", prover_port, file_id, n_segments, rounds, seed,
             max_rtt_ms))
-        return wire.parse_sample_report(wire.recv_frame(sock))
+        return wire.parse_sample_report(wire.read_frame(sock))
     finally:
         sock.close()
 
@@ -139,7 +139,7 @@ def test_auditor_hangup_releases_its_session():
 
         sock = wire.connect(vantage_port)
         try:
-            wire.send_frame(sock, wire.measure_request(
+            wire.write_frame(sock, wire.measure_request(
                 "127.0.0.1", prover_port, file_id, n_segments, 2, 5, 0.0))
             assert _wait_for(lambda: _gauge(metrics_port, in_flight) == 1,
                              1.0)
@@ -174,8 +174,8 @@ def test_unreachable_prover_reported_not_fatal():
         # The vantage survives the failed sweep and still answers.
         sock = wire.connect(vantage_port)
         try:
-            wire.send_frame(sock, wire.ping(3))
-            nonce, _ = wire.parse_pong(wire.recv_frame(sock))
+            wire.write_frame(sock, wire.ping(3))
+            nonce, _ = wire.parse_pong(wire.read_frame(sock))
             assert nonce == 3
         finally:
             sock.close()

@@ -25,7 +25,7 @@ def connect(port, host="127.0.0.1", timeout=60.0):
     return sock
 
 
-def send_frame(sock, payload):
+def write_frame(sock, payload):
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
 
@@ -39,7 +39,7 @@ def _recv_exact(sock, n):
     return buf
 
 
-def recv_frame(sock):
+def read_frame(sock):
     (length,) = struct.unpack(">I", _recv_exact(sock, 4))
     if length > MAX_FRAME:
         raise ValueError(f"frame length {length} exceeds cap")

@@ -1,7 +1,7 @@
-// The async transport core: exact timers, frame assembler, the blocking
-// adapter, the simulated async channel (including the session-overlap
-// property the event-loop redesign exists for) and the real epoll
-// loop + multiplexing TCP channel.
+// The async transport core: exact timers, frame assembler, the inline
+// RequestChannel completion, the simulated async channel (including the
+// session-overlap property the event-loop redesign exists for) and the
+// real epoll loop + multiplexing TCP channel.
 #include "net/async.hpp"
 
 #include <gtest/gtest.h>
@@ -163,30 +163,32 @@ TEST(FrameAssembler, MidFrameVisible) {
 }
 
 // --------------------------------------------------------------------------
-// BlockingChannelAdapter
+// RequestChannel as an AsyncChannel
 // --------------------------------------------------------------------------
 
-TEST(BlockingChannelAdapter, CompletesInlineAndPropagatesExceptions) {
+TEST(RequestChannel, CompletesInlineAndPropagatesExceptions) {
   SimClock clock;
-  SimRequestChannel inner(
+  SimRequestChannel sim(
       clock, [](std::size_t) { return Millis{1.0}; },
       [](BytesView req) {
         if (req.empty()) throw StorageError("no such segment");
         return Bytes(req.begin(), req.end());
       });
-  BlockingChannelAdapter adapter(inner);
+  AsyncChannel& channel = sim;
 
   bool completed = false;
-  adapter.begin_request(bytes_of("x"), [&](AsyncResult&& r) {
+  channel.begin_request(bytes_of("x"), [&](AsyncResult&& r) {
     completed = true;
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.payload, bytes_of("x"));
   });
   EXPECT_TRUE(completed);  // inline, by contract
+  EXPECT_EQ(clock.now(), to_nanos(Millis{2.0}));  // both legs charged
+  EXPECT_FALSE(channel.cancel(1));  // nothing is ever in flight
 
-  // Handler exceptions surface to the begin_request caller (the legacy
-  // blocking contract the run_audit adapters rely on).
-  EXPECT_THROW(adapter.begin_request({}, [](AsyncResult&&) {}), StorageError);
+  // Handler exceptions surface to the begin_request caller (the blocking
+  // contract run_audit relies on).
+  EXPECT_THROW(channel.begin_request({}, [](AsyncResult&&) {}), StorageError);
 }
 
 // --------------------------------------------------------------------------

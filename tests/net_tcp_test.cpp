@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "tcp_client.hpp"
 
 namespace geoproof::net {
 namespace {
+
+using test::TcpClient;
 
 /// Raw loopback connection for wire-level edge cases the channel classes
 /// refuse to produce (oversized headers, partial frames).
@@ -50,16 +53,49 @@ void raw_send(const Socket& sock, BytesView data) {
   }
 }
 
+/// The 4-byte big-endian length header the server frames with.
+Bytes frame_header(std::uint32_t len) {
+  return {static_cast<std::uint8_t>(len >> 24),
+          static_cast<std::uint8_t>(len >> 16),
+          static_cast<std::uint8_t>(len >> 8), static_cast<std::uint8_t>(len)};
+}
+
+void write_frame(const Socket& sock, BytesView payload) {
+  Bytes wire = frame_header(static_cast<std::uint32_t>(payload.size()));
+  append(wire, payload);
+  raw_send(sock, wire);
+}
+
+/// Blocking read of `len` bytes; throws NetError on EOF or failure.
+Bytes read_exact(const Socket& sock, std::size_t len) {
+  Bytes out(len);
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::recv(sock.fd(), out.data() + got, len - got, 0);
+    if (n <= 0) throw NetError("peer closed connection");
+    got += static_cast<std::size_t>(n);
+  }
+  return out;
+}
+
+Bytes read_frame(const Socket& sock) {
+  const Bytes h = read_exact(sock, 4);
+  const std::uint32_t len = (std::uint32_t{h[0]} << 24) |
+                            (std::uint32_t{h[1]} << 16) |
+                            (std::uint32_t{h[2]} << 8) | std::uint32_t{h[3]};
+  return read_exact(sock, len);
+}
+
 TEST(TcpServer, EchoRoundTrip) {
   TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); });
-  TcpRequestChannel client("127.0.0.1", server.port());
+  TcpClient client(server.port());
   EXPECT_EQ(client.request(bytes_of("hello")), bytes_of("hello"));
   EXPECT_EQ(client.request(bytes_of("again")), bytes_of("again"));
 }
 
 TEST(TcpServer, EmptyFrames) {
   TcpServer server([](BytesView) { return Bytes{}; });
-  TcpRequestChannel client("127.0.0.1", server.port());
+  TcpClient client(server.port());
   EXPECT_TRUE(client.request({}).empty());
 }
 
@@ -69,7 +105,7 @@ TEST(TcpServer, LargePayload) {
     out.push_back(0x42);
     return out;
   });
-  TcpRequestChannel client("127.0.0.1", server.port());
+  TcpClient client(server.port());
   const Bytes big(1 << 20, 0xab);  // 1 MiB
   const Bytes resp = client.request(big);
   ASSERT_EQ(resp.size(), big.size() + 1);
@@ -79,10 +115,10 @@ TEST(TcpServer, LargePayload) {
 TEST(TcpServer, SequentialClients) {
   TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); });
   {
-    TcpRequestChannel c1("127.0.0.1", server.port());
+    TcpClient c1(server.port());
     EXPECT_EQ(c1.request(bytes_of("one")), bytes_of("one"));
   }  // c1 disconnects
-  TcpRequestChannel c2("127.0.0.1", server.port());
+  TcpClient c2(server.port());
   EXPECT_EQ(c2.request(bytes_of("two")), bytes_of("two"));
 }
 
@@ -92,7 +128,7 @@ TEST(TcpServer, ManySmallRequests) {
     for (auto& b : out) b = static_cast<std::uint8_t>(b + 1);
     return out;
   });
-  TcpRequestChannel client("127.0.0.1", server.port());
+  TcpClient client(server.port());
   for (int i = 0; i < 200; ++i) {
     const Bytes req = {static_cast<std::uint8_t>(i)};
     const Bytes resp = client.request(req);
@@ -105,7 +141,7 @@ TEST(TcpServer, PortZeroReportsKernelChosenPort) {
   TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); },
                    TcpServer::Options{.host = "127.0.0.1", .port = 0});
   ASSERT_GT(server.port(), 0);
-  TcpRequestChannel client("127.0.0.1", server.port());
+  TcpClient client(server.port());
   EXPECT_EQ(client.request(bytes_of("ping")), bytes_of("ping"));
 }
 
@@ -117,13 +153,13 @@ TEST(TcpServer, ExplicitPortBindsAndRebinds) {
   {
     TcpServer first([](BytesView req) { return Bytes(req.begin(), req.end()); });
     port = first.port();
-    TcpRequestChannel client("127.0.0.1", port);
+    TcpClient client(port);
     EXPECT_EQ(client.request(bytes_of("one")), bytes_of("one"));
   }
   TcpServer second([](BytesView) { return bytes_of("two"); },
                    TcpServer::Options{.port = port});
   EXPECT_EQ(second.port(), port);
-  TcpRequestChannel client("127.0.0.1", port);
+  TcpClient client(port);
   EXPECT_EQ(client.request({}), bytes_of("two"));
 }
 
@@ -141,17 +177,19 @@ TEST(TcpServer, StopUnblocksAccept) {
   SUCCEED();
 }
 
-TEST(TcpRequestChannel, ConnectToClosedPortFails) {
+TEST(AsyncTcpChannel, ConnectToClosedPortFails) {
   std::uint16_t dead_port;
   {
     TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); });
     dead_port = server.port();
   }  // server gone
-  EXPECT_THROW(TcpRequestChannel("127.0.0.1", dead_port), NetError);
+  EventLoop loop;
+  EXPECT_THROW(AsyncTcpChannel(loop, "127.0.0.1", dead_port), NetError);
 }
 
-TEST(TcpRequestChannel, BadAddressThrows) {
-  EXPECT_THROW(TcpRequestChannel("not-an-ip", 1234), NetError);
+TEST(AsyncTcpChannel, BadAddressThrows) {
+  EventLoop loop;
+  EXPECT_THROW(AsyncTcpChannel(loop, "not-an-ip", 1234), NetError);
 }
 
 TEST(TcpServer, ConcurrentClientsServedInterleaved) {
@@ -160,10 +198,10 @@ TEST(TcpServer, ConcurrentClientsServedInterleaved) {
   // multiplexing server must serve both, interleaved, on open
   // connections.
   TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); });
-  TcpRequestChannel c1("127.0.0.1", server.port());
+  TcpClient c1(server.port());
   EXPECT_EQ(c1.request(bytes_of("a1")), bytes_of("a1"));
 
-  TcpRequestChannel c2("127.0.0.1", server.port());  // c1 still connected
+  TcpClient c2(server.port());  // c1 still connected
   EXPECT_EQ(c2.request(bytes_of("b1")), bytes_of("b1"));
   EXPECT_EQ(c1.request(bytes_of("a2")), bytes_of("a2"));
   EXPECT_EQ(c2.request(bytes_of("b2")), bytes_of("b2"));
@@ -175,10 +213,9 @@ TEST(TcpServer, ManyConcurrentClients) {
     out.push_back(0x01);
     return out;
   });
-  std::vector<std::unique_ptr<TcpRequestChannel>> clients;
+  std::vector<std::unique_ptr<TcpClient>> clients;
   for (int i = 0; i < 8; ++i) {
-    clients.push_back(
-        std::make_unique<TcpRequestChannel>("127.0.0.1", server.port()));
+    clients.push_back(std::make_unique<TcpClient>(server.port()));
   }
   // Round-robin over all held-open connections, twice.
   for (int round = 0; round < 2; ++round) {
@@ -197,16 +234,12 @@ TEST(TcpServer, OversizedFrameHeaderDropsOnlyThatConnection) {
     Socket rogue = raw_connect(server.port());
     // Header claiming kMaxFrameBytes + 1: the server must hang up before
     // buffering any payload.
-    const auto claim = static_cast<std::uint32_t>(kMaxFrameBytes + 1);
-    const Bytes header = {static_cast<std::uint8_t>(claim >> 24),
-                          static_cast<std::uint8_t>(claim >> 16),
-                          static_cast<std::uint8_t>(claim >> 8),
-                          static_cast<std::uint8_t>(claim)};
-    raw_send(rogue, header);
-    EXPECT_THROW((void)recv_frame(rogue), NetError);  // EOF from the server
+    raw_send(rogue,
+             frame_header(static_cast<std::uint32_t>(kMaxFrameBytes + 1)));
+    EXPECT_THROW((void)read_frame(rogue), NetError);  // EOF from the server
   }
   // The server survives and keeps serving well-behaved clients.
-  TcpRequestChannel good("127.0.0.1", server.port());
+  TcpClient good(server.port());
   EXPECT_EQ(good.request(bytes_of("fine")), bytes_of("fine"));
 }
 
@@ -215,12 +248,7 @@ TEST(TcpServer, FrameSplitAcrossManyWritesReassembled) {
   Socket client = raw_connect(server.port());
 
   const Bytes payload = bytes_of("split across events");
-  Bytes wire;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  wire.push_back(static_cast<std::uint8_t>(len >> 24));
-  wire.push_back(static_cast<std::uint8_t>(len >> 16));
-  wire.push_back(static_cast<std::uint8_t>(len >> 8));
-  wire.push_back(static_cast<std::uint8_t>(len));
+  Bytes wire = frame_header(static_cast<std::uint32_t>(payload.size()));
   append(wire, payload);
 
   // Drip the frame one byte at a time with pauses: each byte is its own
@@ -231,7 +259,7 @@ TEST(TcpServer, FrameSplitAcrossManyWritesReassembled) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  EXPECT_EQ(recv_frame(client), payload);
+  EXPECT_EQ(read_frame(client), payload);
 }
 
 TEST(TcpServer, PeerCloseMidFrameKeepsServing) {
@@ -248,7 +276,7 @@ TEST(TcpServer, PeerCloseMidFrameKeepsServing) {
   }  // orderly close mid-payload
   // Give the loop a beat to process the closes, then prove it still works.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  TcpRequestChannel good("127.0.0.1", server.port());
+  TcpClient good(server.port());
   EXPECT_EQ(good.request(bytes_of("ok")), bytes_of("ok"));
 }
 
@@ -259,7 +287,7 @@ TEST(TcpServer, HandlerDelayVisibleInWallClock) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     return Bytes(req.begin(), req.end());
   });
-  TcpRequestChannel client("127.0.0.1", server.port());
+  TcpClient client(server.port());
   SteadyAuditTimer timer;
   const Millis before = timer.now();
   (void)client.request(bytes_of("x"));
@@ -293,12 +321,12 @@ TEST(TcpServer, DeferredRepliesLeaveInRequestOrder) {
   TcpServer server = delayed_echo();
   Socket client = raw_connect(server.port());
   const SteadyAuditTimer timer;
-  send_frame(client, Bytes{60, 1});
-  send_frame(client, Bytes{30, 2});
-  send_frame(client, Bytes{0, 3});
-  EXPECT_EQ(recv_frame(client), (Bytes{60, 1}));
-  EXPECT_EQ(recv_frame(client), (Bytes{30, 2}));
-  EXPECT_EQ(recv_frame(client), (Bytes{0, 3}));
+  write_frame(client, Bytes{60, 1});
+  write_frame(client, Bytes{30, 2});
+  write_frame(client, Bytes{0, 3});
+  EXPECT_EQ(read_frame(client), (Bytes{60, 1}));
+  EXPECT_EQ(read_frame(client), (Bytes{30, 2}));
+  EXPECT_EQ(read_frame(client), (Bytes{0, 3}));
   EXPECT_GE(timer.now().count(), 60.0);
   EXPECT_LT(timer.now().count(), 85.0);
 }
@@ -307,12 +335,12 @@ TEST(TcpServer, ConnectionsDeferIndependently) {
   // A slow reply on one connection does not hold up another's.
   TcpServer server = delayed_echo();
   Socket slow = raw_connect(server.port());
-  send_frame(slow, Bytes{200});
-  TcpRequestChannel fast("127.0.0.1", server.port());
+  write_frame(slow, Bytes{200});
+  TcpClient fast(server.port());
   const SteadyAuditTimer timer;
   EXPECT_EQ(fast.request(Bytes{5}), Bytes{5});
   EXPECT_LT(timer.now().count(), 100.0);
-  EXPECT_EQ(recv_frame(slow), Bytes{200});
+  EXPECT_EQ(read_frame(slow), Bytes{200});
 }
 
 TEST(TcpServer, PeerCloseCancelsOutstandingReplies) {
@@ -326,8 +354,8 @@ TEST(TcpServer, PeerCloseCancelsOutstandingReplies) {
   });
   {
     Socket client = raw_connect(server.port());
-    send_frame(client, bytes_of("a"));
-    send_frame(client, bytes_of("b"));
+    write_frame(client, bytes_of("a"));
+    write_frame(client, bytes_of("b"));
     ASSERT_TRUE(wait_until([&] { return received.load() == 2; }));
     EXPECT_EQ(cancelled.load(), 0);
   }  // the requester hangs up with both replies outstanding
@@ -346,12 +374,12 @@ TEST(TcpServer, PeerCloseCancelsOutstandingReplies) {
 TEST(TcpServer, HalfClosedPeerStillGetsCompletedReplies) {
   TcpServer server([](BytesView req) { return Bytes(req.begin(), req.end()); });
   Socket client = raw_connect(server.port());
-  send_frame(client, bytes_of("one"));
-  send_frame(client, bytes_of("two"));
+  write_frame(client, bytes_of("one"));
+  write_frame(client, bytes_of("two"));
   ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
-  EXPECT_EQ(recv_frame(client), bytes_of("one"));
-  EXPECT_EQ(recv_frame(client), bytes_of("two"));
-  EXPECT_THROW((void)recv_frame(client), NetError);  // then EOF
+  EXPECT_EQ(read_frame(client), bytes_of("one"));
+  EXPECT_EQ(read_frame(client), bytes_of("two"));
+  EXPECT_THROW((void)read_frame(client), NetError);  // then EOF
 }
 
 TEST(TcpServer, ReplyDroppedUnsentDropsOnlyThatConnection) {
@@ -361,10 +389,10 @@ TEST(TcpServer, ReplyDroppedUnsentDropsOnlyThatConnection) {
   });
   {
     Socket rogue = raw_connect(server.port());
-    send_frame(rogue, bytes_of("drop"));
-    EXPECT_THROW((void)recv_frame(rogue), NetError);  // EOF from the server
+    write_frame(rogue, bytes_of("drop"));
+    EXPECT_THROW((void)read_frame(rogue), NetError);  // EOF from the server
   }
-  TcpRequestChannel good("127.0.0.1", server.port());
+  TcpClient good(server.port());
   EXPECT_EQ(good.request(bytes_of("fine")), bytes_of("fine"));
 }
 
@@ -378,11 +406,11 @@ TEST(TcpServer, StopCancelsOutstandingReplies) {
     ++received;
   });
   Socket client = raw_connect(server.port());
-  send_frame(client, bytes_of("x"));
+  write_frame(client, bytes_of("x"));
   ASSERT_TRUE(wait_until([&] { return received.load() == 1; }));
   server.stop();
   EXPECT_EQ(cancelled.load(), 1);
-  EXPECT_THROW((void)recv_frame(client), NetError);
+  EXPECT_THROW((void)read_frame(client), NetError);
 }
 
 }  // namespace

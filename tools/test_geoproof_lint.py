@@ -47,6 +47,31 @@ class StripTest(unittest.TestCase):
         self.assertNotIn("close", stripped)
         self.assertNotIn("mt19937", stripped)
 
+    def test_digit_separator_is_not_a_char_literal(self):
+        code = (
+            "auto d = Millis{60'000.0}; auto m = 0xFF'FF;\n"
+            "std::this_thread::sleep_for(d);\n"
+            "char c = 'x'; auto w = u8'y'; // steady_clock\n"
+        )
+        stripped = geoproof_lint.strip_comments_and_strings(code)
+        self.assertIn("60'000.0", stripped)
+        self.assertIn("0xFF'FF", stripped)
+        self.assertIn("std::this_thread::sleep_for(d);", stripped)
+        self.assertNotIn("x", stripped.splitlines()[2])
+        self.assertNotIn("steady_clock", stripped)
+
+    def test_code_after_digit_separator_is_scanned(self):
+        root = make_tree(
+            {
+                "src/core/engine.cpp":
+                    "auto d = Millis{60'000.0};\n"
+                    "std::this_thread::sleep_for(d);\n",
+            }
+        )
+        violations = geoproof_lint.check_patterns(root)
+        self.assertEqual(rules_hit(violations), ["raw-sleep"])
+        self.assertEqual(violations[0].line, 2)
+
     def test_escaped_quote_does_not_end_string(self):
         code = 'auto s = "a\\"b steady_clock";\nint keep;\n'
         stripped = geoproof_lint.strip_comments_and_strings(code)
@@ -96,11 +121,24 @@ class RawSleepRuleTest(unittest.TestCase):
             {
                 "src/daemon/track_stream.cpp":
                     "std::this_thread::sleep_for(interval);\n",
+            }
+        )
+        self.assertEqual(geoproof_lint.check_patterns(root), [])
+
+    def test_serving_daemons_may_not_sleep(self):
+        # Their delays are loop timers: a sleep would stall every
+        # connection the serving loop holds.
+        root = make_tree(
+            {
+                "src/daemon/prover_daemon.cpp":
+                    "std::this_thread::sleep_for(stall);\n",
                 "src/daemon/vantage_daemon.cpp":
                     "std::this_thread::sleep_for(delay);\n",
             }
         )
-        self.assertEqual(geoproof_lint.check_patterns(root), [])
+        violations = geoproof_lint.check_patterns(root)
+        self.assertEqual(rules_hit(violations), ["raw-sleep"])
+        self.assertEqual(len(violations), 2)
 
     def test_comment_and_lookalike_are_clean(self):
         root = make_tree(
