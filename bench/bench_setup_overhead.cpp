@@ -9,11 +9,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "crypto/aes_ctr.hpp"
 #include "crypto/prp.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/signature.hpp"
 #include "ecc/block_code.hpp"
 #include "por/encoder.hpp"
 
@@ -79,6 +81,70 @@ void BM_Sha256Throughput(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256Throughput)->Arg(4096)->Arg(65536);
+
+/// One compress_blocks call over range(1) blocks, through the portable
+/// scalar body (range(0) = 0) or the CPUID-dispatched one (range(0) = 1).
+void BM_Sha256Compress(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  const auto blocks = static_cast<std::size_t>(state.range(1));
+  Rng rng(7);
+  const Bytes data = rng.next_bytes(64 * blocks);
+  crypto::detail::Sha256State h{};
+  for (auto _ : state) {
+    if (dispatched) {
+      crypto::detail::compress_blocks(h, data.data(), blocks);
+    } else {
+      crypto::detail::compress_blocks_scalar(h, data.data(), blocks);
+    }
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetLabel(dispatched && crypto::detail::has_sha_ni() ? "sha-ni"
+                                                            : "scalar");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Sha256Compress)->ArgsProduct({{0, 1}, {1, 16}});
+
+/// Full key generation: 2^range(0) WOTS keypairs plus the Merkle tree.
+void BM_MerkleKeygen(benchmark::State& state) {
+  const auto height = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    crypto::MerkleSigner signer(bytes_of("bench signer seed"), height);
+    benchmark::DoNotOptimize(signer.public_key());
+  }
+}
+BENCHMARK(BM_MerkleKeygen)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// One Merkle signature over a 512-byte message; a fresh height-8
+/// signer (built off the clock) replaces each exhausted one.
+void BM_MerkleSign(benchmark::State& state) {
+  Rng rng(8);
+  const Bytes message = rng.next_bytes(512);
+  auto signer = std::make_unique<crypto::MerkleSigner>(
+      bytes_of("bench signer seed"), 8);
+  for (auto _ : state) {
+    if (signer->signatures_remaining() == 0) {
+      state.PauseTiming();
+      signer = std::make_unique<crypto::MerkleSigner>(
+          bytes_of("bench signer seed"), 8);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(signer->sign(message));
+  }
+}
+BENCHMARK(BM_MerkleSign)->Unit(benchmark::kMicrosecond);
+
+void BM_MerkleVerify(benchmark::State& state) {
+  Rng rng(9);
+  const Bytes message = rng.next_bytes(512);
+  crypto::MerkleSigner signer(bytes_of("bench signer seed"), 8);
+  const crypto::MerkleSignature sig = signer.sign(message);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::merkle_verify(signer.public_key(), message, sig));
+  }
+}
+BENCHMARK(BM_MerkleVerify)->Unit(benchmark::kMicrosecond);
 
 void BM_AesCtrThroughput(benchmark::State& state) {
   Rng rng(3);

@@ -52,6 +52,10 @@ Digest HmacSha256::mac(BytesView key, BytesView data) {
 }
 
 Digest prf(BytesView key, std::string_view label, BytesView input) {
+  return prf(HmacKey(key), label, input);
+}
+
+Digest prf(const HmacKey& key, std::string_view label, BytesView input) {
   HmacSha256 h(key);
   h.update(BytesView(reinterpret_cast<const std::uint8_t*>(label.data()),
                      label.size()));

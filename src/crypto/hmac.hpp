@@ -49,5 +49,8 @@ class HmacSha256 {
 /// Deterministic pseudo-random function: PRF(key, label, input) -> 32 bytes.
 /// Used for key derivation trees (distinct labels give independent keys).
 Digest prf(BytesView key, std::string_view label, BytesView input);
+/// The same PRF under a prepared key: derivations that draw many outputs
+/// from one key (a WOTS secret key's 67 chain starts) expand it once.
+Digest prf(const HmacKey& key, std::string_view label, BytesView input);
 
 }  // namespace geoproof::crypto

@@ -1,8 +1,15 @@
 #include "crypto/sha256.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "common/errors.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define GEOPROOF_SHA256_X86 1
+#endif
 
 namespace geoproof::crypto {
 
@@ -25,61 +32,259 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+constexpr detail::Sha256State kInitialState = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// Pads the message's last `len` (< 64) bytes, which start at `block`, for a
+// message of `total_len` bytes: 0x80, zeros, then the 8-byte big-endian bit
+// length at the end of the first block if it fits after the 0x80, else of
+// the second. Returns the number of blocks (1 or 2) to compress.
+std::size_t pad_final(std::uint8_t* block, std::size_t len,
+                      std::uint64_t total_len) {
+  block[len++] = 0x80;
+  const std::size_t blocks = len <= 56 ? 1 : 2;
+  const std::size_t end = 64 * blocks;
+  std::memset(block + len, 0, end - 8 - len);
+  const std::uint64_t bits = total_len * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[end - 8 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
+  return blocks;
+}
+
+Digest digest_of(const detail::Sha256State& state) {
+  Digest out;
+  for (std::size_t i = 0; i < 8; ++i) {
+    // One swapped word store each; a byte-at-a-time loop here gets
+    // vectorised into a long shuffle sequence that costs more than the
+    // SHA-NI rounds of a one-block message.
+    std::uint32_t word = state[i];
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    std::memcpy(out.data() + 4 * i, &word, sizeof word);
+  }
+  return out;
+}
+
 }  // namespace
 
+namespace detail {
+
+void compress_blocks_scalar(Sha256State& state, const std::uint8_t* p,
+                            std::size_t n) {
+  for (; n > 0; --n, p += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(p[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(p[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(p[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(p[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[static_cast<std::size_t>(i)] +
+                               w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef GEOPROOF_SHA256_X86
+
+// The SHA extensions keep the state as two vectors, ABEF and CDGH (lane 3
+// first); sha256rnds2 runs two rounds from the low two W+K lanes, and
+// sha256msg1/msg2 extend the message schedule four words at a time. One
+// ShaNiLane is one compression in flight; the pair body steps two lanes in
+// lockstep so one lane's rounds fill the other's rnds2 latency.
+#define GEOPROOF_SHA_NI \
+  __attribute__((target("sha,sse4.1"), always_inline)) inline
+
+namespace {
+
+struct ShaNiLane {
+  __m128i abef, cdgh;
+  __m128i abef_in, cdgh_in;  // state at block start, added back at the end
+  __m128i w[4];  // the last four schedule vectors, W[4g .. 4g+3] in w[g % 4]
+};
+
+GEOPROOF_SHA_NI void shani_load(ShaNiLane& lane, const Sha256State& state) {
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  lane.abef = _mm_alignr_epi8(cdab, efgh, 8);
+  lane.cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+}
+
+GEOPROOF_SHA_NI void shani_store(const ShaNiLane& lane, Sha256State& state) {
+  const __m128i feba = _mm_shuffle_epi32(lane.abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(lane.cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+GEOPROOF_SHA_NI void shani_begin_block(ShaNiLane& lane) {
+  lane.abef_in = lane.abef;
+  lane.cdgh_in = lane.cdgh;
+}
+
+GEOPROOF_SHA_NI void shani_end_block(ShaNiLane& lane) {
+  lane.abef = _mm_add_epi32(lane.abef, lane.abef_in);
+  lane.cdgh = _mm_add_epi32(lane.cdgh, lane.cdgh_in);
+}
+
+// Rounds 4g .. 4g+3 of the block at p. Called with g = 0, 1, ..., 15 in
+// order; after unrolling, every index below is a constant.
+GEOPROOF_SHA_NI void shani_rounds(ShaNiLane& lane, const std::uint8_t* p,
+                                  int g) {
+  if (g < 4) {
+    // Byte-swaps each 32-bit lane: the message words are big-endian.
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    lane.w[g] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * g)), bswap);
+  } else {
+    // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at once.
+    __m128i m = _mm_sha256msg1_epu32(lane.w[g % 4], lane.w[(g + 1) % 4]);
+    m = _mm_add_epi32(
+        m, _mm_alignr_epi8(lane.w[(g + 3) % 4], lane.w[(g + 2) % 4], 4));
+    lane.w[g % 4] = _mm_sha256msg2_epu32(m, lane.w[(g + 3) % 4]);
+  }
+  __m128i wk = _mm_add_epi32(
+      lane.w[g % 4],
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+  lane.cdgh = _mm_sha256rnds2_epu32(lane.cdgh, lane.abef, wk);
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  lane.abef = _mm_sha256rnds2_epu32(lane.abef, lane.cdgh, wk);
+}
+
+}  // namespace
+
+__attribute__((target("sha,sse4.1"))) void compress_blocks_shani(
+    Sha256State& state, const std::uint8_t* p, std::size_t n) {
+  ShaNiLane lane;
+  shani_load(lane, state);
+  for (; n > 0; --n, p += 64) {
+    shani_begin_block(lane);
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) shani_rounds(lane, p, g);
+    shani_end_block(lane);
+  }
+  shani_store(lane, state);
+}
+
+__attribute__((target("sha,sse4.1"))) void compress_pair_shani(
+    Sha256State& a, const std::uint8_t* pa, Sha256State& b,
+    const std::uint8_t* pb) {
+  ShaNiLane la, lb;
+  shani_load(la, a);
+  shani_load(lb, b);
+  shani_begin_block(la);
+  shani_begin_block(lb);
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    shani_rounds(la, pa, g);
+    shani_rounds(lb, pb, g);
+  }
+  shani_end_block(la);
+  shani_end_block(lb);
+  shani_store(la, a);
+  shani_store(lb, b);
+}
+
+#undef GEOPROOF_SHA_NI
+
+bool has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+#else
+
+void compress_blocks_shani(Sha256State& state, const std::uint8_t* p,
+                           std::size_t n) {
+  compress_blocks_scalar(state, p, n);
+}
+
+void compress_pair_shani(Sha256State& a, const std::uint8_t* pa,
+                         Sha256State& b, const std::uint8_t* pb) {
+  compress_pair_scalar(a, pa, b, pb);
+}
+
+bool has_sha_ni() { return false; }
+
+#endif
+
+void compress_pair_scalar(Sha256State& a, const std::uint8_t* pa,
+                          Sha256State& b, const std::uint8_t* pb) {
+  compress_blocks_scalar(a, pa, 1);
+  compress_blocks_scalar(b, pb, 1);
+}
+
+void compress_blocks(Sha256State& state, const std::uint8_t* p,
+                     std::size_t n) {
+  using Body = void (*)(Sha256State&, const std::uint8_t*, std::size_t);
+  static const Body body =
+      has_sha_ni() ? compress_blocks_shani : compress_blocks_scalar;
+  body(state, p, n);
+}
+
+void compress_pair(Sha256State& a, const std::uint8_t* pa, Sha256State& b,
+                   const std::uint8_t* pb) {
+  using Body = void (*)(Sha256State&, const std::uint8_t*, Sha256State&,
+                        const std::uint8_t*);
+  static const Body body =
+      has_sha_ni() ? compress_pair_shani : compress_pair_scalar;
+  body(a, pa, b, pb);
+}
+
+}  // namespace detail
+
 void Sha256::reset() {
-  h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  h_ = kInitialState;
   buf_len_ = 0;
   total_len_ = 0;
   finalized_ = false;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[static_cast<std::size_t>(i)] +
-                             w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
 void Sha256::update(BytesView data) {
@@ -93,14 +298,14 @@ void Sha256::update(BytesView data) {
     std::memcpy(buf_.data() + buf_len_, data.data(), take);
     buf_len_ += take;
     off += take;
-    if (buf_len_ == 64) {
-      compress(buf_.data());
-      buf_len_ = 0;
-    }
+    if (buf_len_ < 64) return;
+    detail::compress_blocks(h_, buf_.data(), 1);
+    buf_len_ = 0;
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
+  const std::size_t blocks = (data.size() - off) / 64;
+  if (blocks > 0) {
+    detail::compress_blocks(h_, data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::memcpy(buf_.data(), data.data() + off, data.size() - off);
@@ -111,60 +316,9 @@ void Sha256::update(BytesView data) {
 Digest Sha256::finalize() {
   if (finalized_) throw CryptoError("Sha256::finalize called twice");
   finalized_ = true;
-
-  const std::uint64_t bit_len = total_len_ * 8;
-  // Pad: 0x80, zeros, 8-byte big-endian bit length.
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t rem = buf_len_;
-  const std::size_t pad_len = (rem < 56) ? (56 - rem) : (120 - rem);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  // Reuse update()'s buffering path directly on raw buffers.
-  total_len_ = 0;  // silence further length tracking; we bypass update()
-  {
-    // Manual absorb of padding without the finalized_ guard.
-    std::size_t off = 0;
-    auto absorb = [&](const std::uint8_t* p, std::size_t n) {
-      std::size_t o = 0;
-      if (buf_len_ > 0) {
-        const std::size_t need = 64 - buf_len_;
-        const std::size_t take = n < need ? n : need;
-        std::memcpy(buf_.data() + buf_len_, p, take);
-        buf_len_ += take;
-        o += take;
-        if (buf_len_ == 64) {
-          compress(buf_.data());
-          buf_len_ = 0;
-        }
-      }
-      while (o + 64 <= n) {
-        compress(p + o);
-        o += 64;
-      }
-      if (o < n) {
-        std::memcpy(buf_.data(), p + o, n - o);
-        buf_len_ = n - o;
-      }
-    };
-    absorb(pad, pad_len);
-    absorb(len_be, 8);
-    (void)off;
-  }
-
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(4 * i)] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)] >> 24);
-    out[static_cast<std::size_t>(4 * i + 1)] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)] >> 16);
-    out[static_cast<std::size_t>(4 * i + 2)] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)] >> 8);
-    out[static_cast<std::size_t>(4 * i + 3)] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)]);
-  }
-  return out;
+  detail::compress_blocks(h_, buf_.data(),
+                          pad_final(buf_.data(), buf_len_, total_len_));
+  return digest_of(h_);
 }
 
 Digest Sha256::hash(BytesView data) {
@@ -178,6 +332,24 @@ Digest Sha256::hash2(BytesView a, BytesView b) {
   h.update(a);
   h.update(b);
   return h.finalize();
+}
+
+std::array<Digest, 2> Sha256::hash_pair(BytesView a, BytesView b) {
+  if (a.size() > kPairMaxMessage || b.size() > kPairMaxMessage) {
+    throw InvalidArgument("Sha256::hash_pair: message longer than one block");
+  }
+  std::uint8_t blocks[2][64];
+  detail::Sha256State states[2] = {kInitialState, kInitialState};
+  const BytesView msgs[2] = {a, b};
+  for (std::size_t i = 0; i < 2; ++i) {
+    // An empty span may carry a null data() (UB in memcpy).
+    if (!msgs[i].empty()) {
+      std::memcpy(blocks[i], msgs[i].data(), msgs[i].size());
+    }
+    pad_final(blocks[i], msgs[i].size(), msgs[i].size());
+  }
+  detail::compress_pair(states[0], blocks[0], states[1], blocks[1]);
+  return {digest_of(states[0]), digest_of(states[1])};
 }
 
 Bytes digest_bytes(const Digest& d) {

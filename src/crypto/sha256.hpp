@@ -2,9 +2,14 @@
 //
 // Streaming interface plus one-shot helpers. This is the root hash for HMAC,
 // HKDF, the DRBG, hash-based signatures and Merkle trees in this library.
+//
+// Every block goes through one compression function, picked once per
+// process: the x86 SHA extensions (SHA-NI) when CPUID reports them, the
+// portable scalar rounds otherwise. Both produce identical digests.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.hpp"
@@ -32,11 +37,19 @@ class Sha256 {
   /// One-shot over the concatenation a || b.
   static Digest hash2(BytesView a, BytesView b);
 
- private:
-  void compress(const std::uint8_t* block);
+  /// Longest message hash_pair() takes: one block less the padding.
+  static constexpr std::size_t kPairMaxMessage = 55;
+  /// {hash(a), hash(b)} for two independent messages of at most
+  /// kPairMaxMessage bytes, computed in one pass whose rounds interleave, so
+  /// the pair costs little more than one hash. Throws InvalidArgument for a
+  /// longer message.
+  static std::array<Digest, 2> hash_pair(BytesView a, BytesView b);
 
+ private:
   std::array<std::uint32_t, 8> h_;
-  std::array<std::uint8_t, 64> buf_;
+  // Two blocks, so finalize() lays out both padding blocks in place; update()
+  // buffers at most one.
+  std::array<std::uint8_t, 128> buf_;
   std::size_t buf_len_ = 0;
   std::uint64_t total_len_ = 0;
   bool finalized_ = false;
@@ -44,5 +57,43 @@ class Sha256 {
 
 /// Digest as an owned byte vector (convenience for APIs taking Bytes).
 Bytes digest_bytes(const Digest& d);
+
+namespace detail {
+
+using Sha256State = std::array<std::uint32_t, 8>;
+
+/// Run the compression function over the n 64-byte blocks at p (no
+/// alignment needed), updating state. Dispatches to one of the bodies below,
+/// chosen on first call.
+void compress_blocks(Sha256State& state, const std::uint8_t* p, std::size_t n);
+
+/// Portable body: the FIPS 180-4 rounds in plain C++.
+void compress_blocks_scalar(Sha256State& state, const std::uint8_t* p,
+                            std::size_t n);
+
+/// SHA-NI body. Call only when has_sha_ni() is true; on a target without
+/// the x86 SHA extensions it forwards to the scalar body.
+void compress_blocks_shani(Sha256State& state, const std::uint8_t* p,
+                           std::size_t n);
+
+/// One compression each of two independent blocks, a at pa and b at pb
+/// (no alignment needed). Dispatches like compress_blocks().
+void compress_pair(Sha256State& a, const std::uint8_t* pa, Sha256State& b,
+                   const std::uint8_t* pb);
+
+/// Portable pair body: two scalar compressions, one after the other.
+void compress_pair_scalar(Sha256State& a, const std::uint8_t* pa,
+                          Sha256State& b, const std::uint8_t* pb);
+
+/// SHA-NI pair body: the two blocks' rounds interleaved. Same contract as
+/// compress_blocks_shani().
+void compress_pair_shani(Sha256State& a, const std::uint8_t* pa,
+                         Sha256State& b, const std::uint8_t* pb);
+
+/// CPUID says this CPU has SHA-NI plus the SSSE3/SSE4.1 shuffles its body
+/// uses. Always false off x86.
+bool has_sha_ni();
+
+}  // namespace detail
 
 }  // namespace geoproof::crypto

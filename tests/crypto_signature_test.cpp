@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/errors.hpp"
 #include "crypto/sha256.hpp"
@@ -139,6 +142,37 @@ TEST(MerkleSigner, PublicKeyDeterministicFromSeed) {
   MerkleSigner a(bytes_of("same seed"), 3);
   MerkleSigner b(bytes_of("same seed"), 3);
   EXPECT_EQ(a.public_key(), b.public_key());
+}
+
+// Known answers recorded from the portable scalar SHA-256. They pin the
+// bytes of keys and signatures across any change to the hash or key
+// schedule underneath (hardware compress, cached HMAC keys).
+std::string hex_of(const Digest& d) {
+  return to_hex(BytesView(d.data(), d.size()));
+}
+
+TEST(SignatureKnownAnswer, MerklePublicKey) {
+  const MerkleSigner signer(bytes_of("kat-seed"), 4);
+  EXPECT_EQ(hex_of(signer.public_key()),
+            "cb5a9ef0019f752a40e7836ad81af5d319c4cbb39c94d7d549d215f644b15506");
+}
+
+TEST(SignatureKnownAnswer, FirstAndLastLeafSignatures) {
+  MerkleSigner signer(bytes_of("kat-seed"), 4);
+  std::vector<std::string> serialized_hashes;
+  for (int i = 0; i < 16; ++i) {
+    serialized_hashes.push_back(
+        hex_of(Sha256::hash(signer.sign(bytes_of("kat-message")).serialize())));
+  }
+  EXPECT_EQ(serialized_hashes.front(),
+            "dd78389eb6c670cd6adc31b6bb08b7e0850014158379dc8bd4d6bcc261d589c5");
+  EXPECT_EQ(serialized_hashes.back(),
+            "93072296be3ca97a6b7b749c57887e353724ec37da53cf7e946a95309b33bb0a");
+}
+
+TEST(SignatureKnownAnswer, WotsSecretKeyChainStart) {
+  EXPECT_EQ(hex_of(wots_secret_key(bytes_of("kat-seed"), 3)[0]),
+            "2878a592e2ac8ecb4ad6662207dc2676c82de254d85722a2b6c610f44000a4ee");
 }
 
 }  // namespace

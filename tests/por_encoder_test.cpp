@@ -63,6 +63,14 @@ TEST(PorKeys, DomainsSeparated) {
   EXPECT_NE(k.enc_key, mac16);
 }
 
+TEST(PorKeys, MacKeyKnownAnswer) {
+  // Recorded from the portable scalar SHA-256: the HKDF/HMAC key schedule
+  // must stay bit-identical whichever compress body runs underneath.
+  const auto k = PorKeys::derive(kMaster, 7, crypto::TagParams{});
+  EXPECT_EQ(to_hex(k.mac_key),
+            "e8ad967fbfa09d5e36579ad795162cf2a668356e438e96e1df8adf7be043ffb0");
+}
+
 TEST(SampleChallenge, DistinctAndInRange) {
   Rng rng(1);
   const auto c = sample_challenge(1000, 100, rng);

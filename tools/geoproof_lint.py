@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the GeoProof tree.
 
-Nine rules, each enforcing a discipline the type system cannot:
+Ten rules, each enforcing a discipline the type system cannot:
 
   clock      std::chrono::steady_clock / system_clock only in the clock
              abstraction and the explicitly real-time sites (net transport,
@@ -21,6 +21,10 @@ Nine rules, each enforcing a discipline the type system cannot:
   raw-mutex  std::mutex only inside common/thread_annotations.hpp; all
              other code locks a geoproof::Mutex through MutexLock, which
              Clang's -Wthread-safety analysis can see.
+  isa        <immintrin.h>, __attribute__((target(...))) and the
+             _mm_sha256* intrinsics only in src/crypto/sha256.cpp, so
+             ISA-specific code stays in the one file that probes CPUID
+             before running it and keeps a portable fallback.
   test-reg   every tests/*_test.cpp must be registered in
              tests/CMakeLists.txt, or it silently never runs in CI.
   func-reg   every tests/functional/test_*.py must be registered in
@@ -173,6 +177,20 @@ RULES = [
         message=(
             "raw std::mutex outside common/thread_annotations.hpp; use "
             "geoproof::Mutex + MutexLock so -Wthread-safety sees the lock"
+        ),
+    ),
+    Rule(
+        name="isa",
+        pattern=re.compile(
+            r"#\s*include\s*<immintrin\.h>"
+            r"|__attribute__\s*\(\s*\(\s*target\s*\("
+            r"|(?<![A-Za-z0-9_])_mm_sha256"
+        ),
+        allowlist=frozenset({"src/crypto/sha256.cpp"}),
+        message=(
+            "ISA-specific intrinsics or target attribute outside "
+            "src/crypto/sha256.cpp; keep CPU-dispatched code behind its "
+            "CPUID probe and scalar fallback there"
         ),
     ),
 ]

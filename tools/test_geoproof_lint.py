@@ -214,6 +214,48 @@ class RawMutexRuleTest(unittest.TestCase):
         self.assertEqual(geoproof_lint.check_patterns(root), [])
 
 
+class IsaRuleTest(unittest.TestCase):
+    def test_flags_intrinsics_outside_sha256(self):
+        root = make_tree(
+            {
+                "src/crypto/hmac.cpp": (
+                    "#include <immintrin.h>\n"
+                    '__attribute__((target("sha"))) void f();\n'
+                    "auto s = _mm_sha256rnds2_epu32(a, b, k);\n"
+                ),
+                "bench/bench_x.cpp": "#  include <immintrin.h>\n",
+            }
+        )
+        violations = geoproof_lint.check_patterns(root)
+        self.assertEqual(rules_hit(violations), ["isa"])
+        self.assertEqual(
+            sorted((v.path, v.line) for v in violations),
+            [
+                ("bench/bench_x.cpp", 1),
+                ("src/crypto/hmac.cpp", 1),
+                ("src/crypto/hmac.cpp", 2),
+                ("src/crypto/hmac.cpp", 3),
+            ],
+        )
+
+    def test_sha256_source_and_lookalikes_are_clean(self):
+        root = make_tree(
+            {
+                "src/crypto/sha256.cpp": (
+                    "#include <immintrin.h>\n"
+                    '__attribute__((target("sha,sse4.1"))) void f();\n'
+                    "auto s = _mm_sha256msg1_epu32(a, b);\n"
+                ),
+                "src/crypto/aes.cpp": (
+                    "// _mm_sha256rnds2 lives in sha256.cpp\n"
+                    "#include <cpuid.h>\n"
+                    "auto t = my_mm_sha256(x); __attribute__((unused)) int y;\n"
+                ),
+            }
+        )
+        self.assertEqual(geoproof_lint.check_patterns(root), [])
+
+
 class TestRegistrationRuleTest(unittest.TestCase):
     def test_unregistered_test_is_flagged(self):
         root = make_tree(
