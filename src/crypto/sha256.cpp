@@ -32,10 +32,6 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-constexpr detail::Sha256State kInitialState = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
 // Pads the message's last `len` (< 64) bytes, which start at `block`, for a
 // message of `total_len` bytes: 0x80, zeros, then the 8-byte big-endian bit
 // length at the end of the first block if it fits after the 0x80, else of
@@ -126,110 +122,56 @@ void compress_blocks_scalar(Sha256State& state, const std::uint8_t* p,
 
 // The SHA extensions keep the state as two vectors, ABEF and CDGH (lane 3
 // first); sha256rnds2 runs two rounds from the low two W+K lanes, and
-// sha256msg1/msg2 extend the message schedule four words at a time. One
-// ShaNiLane is one compression in flight; the pair body steps two lanes in
-// lockstep so one lane's rounds fill the other's rnds2 latency.
-#define GEOPROOF_SHA_NI \
-  __attribute__((target("sha,sse4.1"), always_inline)) inline
-
-namespace {
-
-struct ShaNiLane {
-  __m128i abef, cdgh;
-  __m128i abef_in, cdgh_in;  // state at block start, added back at the end
-  __m128i w[4];  // the last four schedule vectors, W[4g .. 4g+3] in w[g % 4]
-};
-
-GEOPROOF_SHA_NI void shani_load(ShaNiLane& lane, const Sha256State& state) {
+// sha256msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void compress_blocks_shani(
+    Sha256State& state, const std::uint8_t* p, std::size_t n) {
+  // Byte-swaps each 32-bit lane: the message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
   const __m128i dcba =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
   const __m128i hgfe =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
   const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
   const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-  lane.abef = _mm_alignr_epi8(cdab, efgh, 8);
-  lane.cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
-}
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
 
-GEOPROOF_SHA_NI void shani_store(const ShaNiLane& lane, Sha256State& state) {
-  const __m128i feba = _mm_shuffle_epi32(lane.abef, 0x1B);
-  const __m128i dchg = _mm_shuffle_epi32(lane.cdgh, 0xB1);
+  for (; n > 0; --n, p += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4];  // the last four schedule vectors, W[4g .. 4g+3] in w[g % 4]
+    // Rounds 4g .. 4g+3 per pass; after unrolling every index is a constant.
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * g)),
+            bswap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at once.
+        __m128i m = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+        m = _mm_add_epi32(m,
+                          _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+        w[g % 4] = _mm_sha256msg2_epu32(m, w[(g + 3) % 4]);
+      }
+      __m128i wk = _mm_add_epi32(
+          w[g % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
                    _mm_blend_epi16(feba, dchg, 0xF0));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
                    _mm_alignr_epi8(dchg, feba, 8));
 }
-
-GEOPROOF_SHA_NI void shani_begin_block(ShaNiLane& lane) {
-  lane.abef_in = lane.abef;
-  lane.cdgh_in = lane.cdgh;
-}
-
-GEOPROOF_SHA_NI void shani_end_block(ShaNiLane& lane) {
-  lane.abef = _mm_add_epi32(lane.abef, lane.abef_in);
-  lane.cdgh = _mm_add_epi32(lane.cdgh, lane.cdgh_in);
-}
-
-// Rounds 4g .. 4g+3 of the block at p. Called with g = 0, 1, ..., 15 in
-// order; after unrolling, every index below is a constant.
-GEOPROOF_SHA_NI void shani_rounds(ShaNiLane& lane, const std::uint8_t* p,
-                                  int g) {
-  if (g < 4) {
-    // Byte-swaps each 32-bit lane: the message words are big-endian.
-    const __m128i bswap =
-        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-    lane.w[g] = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * g)), bswap);
-  } else {
-    // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at once.
-    __m128i m = _mm_sha256msg1_epu32(lane.w[g % 4], lane.w[(g + 1) % 4]);
-    m = _mm_add_epi32(
-        m, _mm_alignr_epi8(lane.w[(g + 3) % 4], lane.w[(g + 2) % 4], 4));
-    lane.w[g % 4] = _mm_sha256msg2_epu32(m, lane.w[(g + 3) % 4]);
-  }
-  __m128i wk = _mm_add_epi32(
-      lane.w[g % 4],
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
-  lane.cdgh = _mm_sha256rnds2_epu32(lane.cdgh, lane.abef, wk);
-  wk = _mm_shuffle_epi32(wk, 0x0E);
-  lane.abef = _mm_sha256rnds2_epu32(lane.abef, lane.cdgh, wk);
-}
-
-}  // namespace
-
-__attribute__((target("sha,sse4.1"))) void compress_blocks_shani(
-    Sha256State& state, const std::uint8_t* p, std::size_t n) {
-  ShaNiLane lane;
-  shani_load(lane, state);
-  for (; n > 0; --n, p += 64) {
-    shani_begin_block(lane);
-#pragma GCC unroll 16
-    for (int g = 0; g < 16; ++g) shani_rounds(lane, p, g);
-    shani_end_block(lane);
-  }
-  shani_store(lane, state);
-}
-
-__attribute__((target("sha,sse4.1"))) void compress_pair_shani(
-    Sha256State& a, const std::uint8_t* pa, Sha256State& b,
-    const std::uint8_t* pb) {
-  ShaNiLane la, lb;
-  shani_load(la, a);
-  shani_load(lb, b);
-  shani_begin_block(la);
-  shani_begin_block(lb);
-#pragma GCC unroll 16
-  for (int g = 0; g < 16; ++g) {
-    shani_rounds(la, pa, g);
-    shani_rounds(lb, pb, g);
-  }
-  shani_end_block(la);
-  shani_end_block(lb);
-  shani_store(la, a);
-  shani_store(lb, b);
-}
-
-#undef GEOPROOF_SHA_NI
 
 bool has_sha_ni() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
@@ -246,20 +188,9 @@ void compress_blocks_shani(Sha256State& state, const std::uint8_t* p,
   compress_blocks_scalar(state, p, n);
 }
 
-void compress_pair_shani(Sha256State& a, const std::uint8_t* pa,
-                         Sha256State& b, const std::uint8_t* pb) {
-  compress_pair_scalar(a, pa, b, pb);
-}
-
 bool has_sha_ni() { return false; }
 
 #endif
-
-void compress_pair_scalar(Sha256State& a, const std::uint8_t* pa,
-                          Sha256State& b, const std::uint8_t* pb) {
-  compress_blocks_scalar(a, pa, 1);
-  compress_blocks_scalar(b, pb, 1);
-}
 
 void compress_blocks(Sha256State& state, const std::uint8_t* p,
                      std::size_t n) {
@@ -269,19 +200,11 @@ void compress_blocks(Sha256State& state, const std::uint8_t* p,
   body(state, p, n);
 }
 
-void compress_pair(Sha256State& a, const std::uint8_t* pa, Sha256State& b,
-                   const std::uint8_t* pb) {
-  using Body = void (*)(Sha256State&, const std::uint8_t*, Sha256State&,
-                        const std::uint8_t*);
-  static const Body body =
-      has_sha_ni() ? compress_pair_shani : compress_pair_scalar;
-  body(a, pa, b, pb);
-}
-
 }  // namespace detail
 
 void Sha256::reset() {
-  h_ = kInitialState;
+  h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   buf_len_ = 0;
   total_len_ = 0;
   finalized_ = false;
@@ -332,24 +255,6 @@ Digest Sha256::hash2(BytesView a, BytesView b) {
   h.update(a);
   h.update(b);
   return h.finalize();
-}
-
-std::array<Digest, 2> Sha256::hash_pair(BytesView a, BytesView b) {
-  if (a.size() > kPairMaxMessage || b.size() > kPairMaxMessage) {
-    throw InvalidArgument("Sha256::hash_pair: message longer than one block");
-  }
-  std::uint8_t blocks[2][64];
-  detail::Sha256State states[2] = {kInitialState, kInitialState};
-  const BytesView msgs[2] = {a, b};
-  for (std::size_t i = 0; i < 2; ++i) {
-    // An empty span may carry a null data() (UB in memcpy).
-    if (!msgs[i].empty()) {
-      std::memcpy(blocks[i], msgs[i].data(), msgs[i].size());
-    }
-    pad_final(blocks[i], msgs[i].size(), msgs[i].size());
-  }
-  detail::compress_pair(states[0], blocks[0], states[1], blocks[1]);
-  return {digest_of(states[0]), digest_of(states[1])};
 }
 
 Bytes digest_bytes(const Digest& d) {

@@ -37,14 +37,6 @@ class Sha256 {
   /// One-shot over the concatenation a || b.
   static Digest hash2(BytesView a, BytesView b);
 
-  /// Longest message hash_pair() takes: one block less the padding.
-  static constexpr std::size_t kPairMaxMessage = 55;
-  /// {hash(a), hash(b)} for two independent messages of at most
-  /// kPairMaxMessage bytes, computed in one pass whose rounds interleave, so
-  /// the pair costs little more than one hash. Throws InvalidArgument for a
-  /// longer message.
-  static std::array<Digest, 2> hash_pair(BytesView a, BytesView b);
-
  private:
   std::array<std::uint32_t, 8> h_;
   // Two blocks, so finalize() lays out both padding blocks in place; update()
@@ -75,20 +67,6 @@ void compress_blocks_scalar(Sha256State& state, const std::uint8_t* p,
 /// the x86 SHA extensions it forwards to the scalar body.
 void compress_blocks_shani(Sha256State& state, const std::uint8_t* p,
                            std::size_t n);
-
-/// One compression each of two independent blocks, a at pa and b at pb
-/// (no alignment needed). Dispatches like compress_blocks().
-void compress_pair(Sha256State& a, const std::uint8_t* pa, Sha256State& b,
-                   const std::uint8_t* pb);
-
-/// Portable pair body: two scalar compressions, one after the other.
-void compress_pair_scalar(Sha256State& a, const std::uint8_t* pa,
-                          Sha256State& b, const std::uint8_t* pb);
-
-/// SHA-NI pair body: the two blocks' rounds interleaved. Same contract as
-/// compress_blocks_shani().
-void compress_pair_shani(Sha256State& a, const std::uint8_t* pa,
-                         Sha256State& b, const std::uint8_t* pb);
 
 /// CPUID says this CPU has SHA-NI plus the SSSE3/SSE4.1 shuffles its body
 /// uses. Always false off x86.

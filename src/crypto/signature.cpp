@@ -1,7 +1,5 @@
 #include "crypto/signature.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "common/errors.hpp"
@@ -15,58 +13,24 @@ namespace {
 // Domain-separated chain step: value_{step+1} = H(tag || chain || step || value).
 // Tagging with the absolute step index lets a verifier continue a chain from
 // any intermediate value and land on the same end point.
-struct ChainWalk {
-  unsigned chain = 0, step = 0, end = 0;
-  // The next step's hash input: 'W' 'O', chain (2 bytes), step, 3 zero
-  // bytes, then the chain's current value.
-  std::array<std::uint8_t, 8 + kSha256DigestSize> input{};
+Digest chain_step(unsigned chain_index, unsigned step, const Digest& value) {
+  std::uint8_t prefix[8];
+  prefix[0] = 0x57;  // 'W'
+  prefix[1] = 0x4f;  // 'O'
+  prefix[2] = static_cast<std::uint8_t>(chain_index >> 8);
+  prefix[3] = static_cast<std::uint8_t>(chain_index);
+  prefix[4] = static_cast<std::uint8_t>(step);
+  prefix[5] = prefix[6] = prefix[7] = 0;
+  return Sha256::hash2(BytesView(prefix, sizeof prefix),
+                       BytesView(value.data(), value.size()));
+}
 
-  BytesView next_input() {
-    input[4] = static_cast<std::uint8_t>(step);
-    return BytesView(input.data(), input.size());
+Digest chain(unsigned chain_index, unsigned from_step, unsigned steps,
+             Digest value) {
+  for (unsigned s = 0; s < steps; ++s) {
+    value = chain_step(chain_index, from_step + s, value);
   }
-};
-
-// Walks chain i from step from[i] for steps[i] steps, for every chain,
-// replacing values[i] with the chain's end. Two chains advance together so
-// each pair of steps is one Sha256::hash_pair; a chain that finishes hands
-// its lane to the next one still walking.
-void walk_chains(std::vector<Digest>& values,
-                 const std::array<unsigned, WotsParams::kLen>& from,
-                 const std::array<unsigned, WotsParams::kLen>& steps) {
-  unsigned next = 0;
-  // Loads the next chain with steps left into `w`; false when none is left.
-  const auto load = [&](ChainWalk& w) {
-    while (next < WotsParams::kLen && steps[next] == 0) ++next;
-    if (next == WotsParams::kLen) return false;
-    w.chain = next;
-    w.step = from[next];
-    w.end = from[next] + steps[next];
-    w.input = {0x57, 0x4f, static_cast<std::uint8_t>(next >> 8),
-               static_cast<std::uint8_t>(next)};
-    std::memcpy(w.input.data() + 8, values[next].data(), kSha256DigestSize);
-    ++next;
-    return true;
-  };
-  // Records one step's output; false when no chain is left for this lane.
-  const auto advance = [&](ChainWalk& w, const Digest& value) {
-    std::memcpy(w.input.data() + 8, value.data(), kSha256DigestSize);
-    if (++w.step < w.end) return true;
-    values[w.chain] = value;
-    return load(w);
-  };
-
-  ChainWalk lanes[2];
-  bool live[2] = {load(lanes[0]), load(lanes[1])};
-  while (live[0] && live[1]) {
-    const auto out =
-        Sha256::hash_pair(lanes[0].next_input(), lanes[1].next_input());
-    live[0] = advance(lanes[0], out[0]);
-    live[1] = advance(lanes[1], out[1]);
-  }
-  ChainWalk& last = live[0] ? lanes[0] : lanes[1];
-  bool more = live[0] || live[1];
-  while (more) more = advance(last, Sha256::hash(last.next_input()));
+  return value;
 }
 
 // Message digest -> base-w digits plus checksum digits.
@@ -84,13 +48,6 @@ std::vector<std::uint8_t> digits_of(const Digest& msg) {
   digits.push_back(static_cast<std::uint8_t>((checksum >> 4) & 0x0f));
   digits.push_back(static_cast<std::uint8_t>(checksum & 0x0f));
   return digits;
-}
-
-// Compressed WOTS public key: H over all chain ends, in chain order.
-Digest chain_ends_hash(const std::vector<Digest>& ends) {
-  Sha256 h;
-  for (const Digest& end : ends) h.update(BytesView(end.data(), end.size()));
-  return h.finalize();
 }
 
 Digest node_hash(const Digest& left, const Digest& right) {
@@ -130,11 +87,12 @@ Digest wots_public_key(const std::vector<Digest>& secret_key) {
   if (secret_key.size() != WotsParams::kLen) {
     throw InvalidArgument("wots_public_key: wrong secret key size");
   }
-  std::array<unsigned, WotsParams::kLen> from{}, steps{};
-  steps.fill(WotsParams::kW - 1);
-  std::vector<Digest> ends = secret_key;
-  walk_chains(ends, from, steps);
-  return chain_ends_hash(ends);
+  Sha256 h;
+  for (unsigned i = 0; i < WotsParams::kLen; ++i) {
+    const Digest end = chain(i, 0, WotsParams::kW - 1, secret_key[i]);
+    h.update(BytesView(end.data(), end.size()));
+  }
+  return h.finalize();
 }
 
 WotsSignature wots_sign(const std::vector<Digest>& secret_key,
@@ -143,10 +101,11 @@ WotsSignature wots_sign(const std::vector<Digest>& secret_key,
     throw InvalidArgument("wots_sign: wrong secret key size");
   }
   const auto digits = digits_of(msg_digest);
-  std::array<unsigned, WotsParams::kLen> from{}, steps{};
-  std::copy(digits.begin(), digits.end(), steps.begin());
-  WotsSignature sig = secret_key;
-  walk_chains(sig, from, steps);
+  WotsSignature sig;
+  sig.reserve(WotsParams::kLen);
+  for (unsigned i = 0; i < WotsParams::kLen; ++i) {
+    sig.push_back(chain(i, 0, digits[i], secret_key[i]));
+  }
   return sig;
 }
 
@@ -156,14 +115,13 @@ Digest wots_pk_from_signature(const WotsSignature& sig,
     throw InvalidArgument("wots_pk_from_signature: wrong signature size");
   }
   const auto digits = digits_of(msg_digest);
-  std::array<unsigned, WotsParams::kLen> from{}, steps{};
+  Sha256 h;
   for (unsigned i = 0; i < WotsParams::kLen; ++i) {
-    from[i] = digits[i];
-    steps[i] = (WotsParams::kW - 1) - digits[i];
+    const Digest end =
+        chain(i, digits[i], (WotsParams::kW - 1) - digits[i], sig[i]);
+    h.update(BytesView(end.data(), end.size()));
   }
-  std::vector<Digest> ends = sig;
-  walk_chains(ends, from, steps);
-  return chain_ends_hash(ends);
+  return h.finalize();
 }
 
 Bytes MerkleSignature::serialize() const {

@@ -218,59 +218,6 @@ TEST(Sha256Bodies, ShaNiAgreesWithScalarFromArbitraryStates) {
   }
 }
 
-using PairBody = void (*)(detail::Sha256State&, const std::uint8_t*,
-                         detail::Sha256State&, const std::uint8_t*);
-
-void expect_pair_body_matches_single_blocks(PairBody body) {
-  Rng rng(25);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t misalign_a = rng.next_below(16);
-    const std::size_t misalign_b = rng.next_below(16);
-    const Bytes a = rng.next_bytes(misalign_a + 64);
-    const Bytes b = rng.next_bytes(misalign_b + 64);
-    detail::Sha256State want_a, want_b;
-    for (auto& word : want_a) word = static_cast<std::uint32_t>(rng.next_u64());
-    for (auto& word : want_b) word = static_cast<std::uint32_t>(rng.next_u64());
-    detail::Sha256State got_a = want_a, got_b = want_b;
-    detail::compress_blocks_scalar(want_a, a.data() + misalign_a, 1);
-    detail::compress_blocks_scalar(want_b, b.data() + misalign_b, 1);
-    body(got_a, a.data() + misalign_a, got_b, b.data() + misalign_b);
-    ASSERT_EQ(got_a, want_a) << "trial " << trial;
-    ASSERT_EQ(got_b, want_b) << "trial " << trial;
-  }
-}
-
-TEST(Sha256Bodies, ScalarPairMatchesSingleBlocks) {
-  expect_pair_body_matches_single_blocks(detail::compress_pair_scalar);
-}
-
-TEST(Sha256Bodies, ShaNiPairMatchesSingleBlocks) {
-  REQUIRE_SHA_NI();
-  expect_pair_body_matches_single_blocks(detail::compress_pair_shani);
-}
-
-TEST(Sha256, HashPairMatchesHashUpToOneBlock) {
-  const auto [empty, abc] = Sha256::hash_pair({}, bytes_of("abc"));
-  EXPECT_EQ(hex_digest(empty), fips_vectors()[0].digest);
-  EXPECT_EQ(hex_digest(abc), fips_vectors()[1].digest);
-  Rng rng(26);
-  for (std::size_t len = 0; len <= Sha256::kPairMaxMessage; ++len) {
-    const Bytes a = rng.next_bytes(len);
-    const Bytes b = rng.next_bytes(rng.next_below(Sha256::kPairMaxMessage + 1));
-    const auto [da, db] = Sha256::hash_pair(a, b);
-    EXPECT_EQ(da, Sha256::hash(a)) << "length " << len;
-    EXPECT_EQ(db, Sha256::hash(b)) << "length " << b.size();
-  }
-}
-
-TEST(Sha256, HashPairRejectsMultiBlockMessages) {
-  const Bytes longest(Sha256::kPairMaxMessage, 0x11);
-  const Bytes too_long(Sha256::kPairMaxMessage + 1, 0x11);
-  EXPECT_NO_THROW(Sha256::hash_pair(longest, longest));
-  EXPECT_THROW(Sha256::hash_pair(too_long, longest), InvalidArgument);
-  EXPECT_THROW(Sha256::hash_pair(longest, too_long), InvalidArgument);
-}
-
 TEST(Sha256, RandomStreamingSplitsMatchOneShot) {
   Rng rng(24);
   for (int trial = 0; trial < 300; ++trial) {
