@@ -12,6 +12,36 @@
 
 namespace geoproof::core {
 
+namespace {
+
+/// How long a pool thread polls for its next step (the next dispatch, or
+/// the last worker of this one) before it sleeps on a condition variable.
+/// Back-to-back sweeps dispatch every few tens of milliseconds, and a shard
+/// that finishes early waits for the slowest. On a virtual machine a
+/// sleeping thread idles its vCPU, the hypervisor may give the core to
+/// another guest, and the wake-up then waits until the vCPU runs again;
+/// every sweep pays that wait, so the shorter the sweep the larger and the
+/// more variable its share. Polling keeps the vCPUs running across those
+/// gaps. The bound spans about two sweeps of a 4096-registration, 4-shard
+/// registry, so a shard still polls while the host delays the slowest
+/// one, and an engine that stops sweeping parks its pool soon after.
+constexpr auto kPoolSpin = std::chrono::milliseconds(50);
+
+/// Poll `ready` until it holds or kPoolSpin has passed.
+template <typename Ready>
+void spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kPoolSpin;
+  while (!ready() && std::chrono::steady_clock::now() < deadline) {
+#if defined(__x86_64__) || defined(__i386__)
+    for (int i = 0; i < 64; ++i) __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+  }
+}
+
+}  // namespace
+
 /// One shard's run queue. The owning worker pops from the front; thieves
 /// pop from the back, so an owner and a thief contend only on the lock,
 /// never on the same end's ordering.
@@ -51,6 +81,7 @@ ShardedAuditEngine::~ShardedAuditEngine() {
   {
     MutexLock lock(pool_mu_);
     pool_shutdown_ = true;
+    pool_signal_.fetch_add(1, std::memory_order_release);
   }
   pool_cv_.notify_all();
   // Join the workers *here*, while pool_mu_/pool_cv_ are still alive —
@@ -263,6 +294,9 @@ void ShardedAuditEngine::worker(std::size_t shard,
 
 void ShardedAuditEngine::ensure_pool() {
   if (!pool_.empty()) return;
+  // Polling pays only while every shard has a CPU of its own; with more
+  // shards than CPUs a polling thread holds a CPU a working shard needs.
+  pool_spin_ = options_.shards <= std::thread::hardware_concurrency();
   pool_.reserve(options_.shards - 1);
   for (std::size_t s = 1; s < options_.shards; ++s) {
     pool_.emplace_back([this, s] { pool_worker(s); });
@@ -273,6 +307,13 @@ void ShardedAuditEngine::pool_worker(std::size_t shard) {
   std::uint64_t seen_epoch = 0;
   MutexLock lock(pool_mu_);
   for (;;) {
+    if (pool_spin_) {
+      lock.unlock();
+      spin_until([this, seen_epoch] {
+        return pool_signal_.load(std::memory_order_acquire) != seen_epoch;
+      });
+      lock.lock();
+    }
     // Explicit wait loop (not the predicate overload): the guarded reads
     // stay in this function's body, where the analysis sees pool_mu_ held.
     while (!pool_shutdown_ && pool_epoch_ == seen_epoch) {
@@ -284,6 +325,7 @@ void ShardedAuditEngine::pool_worker(std::size_t shard) {
     lock.unlock();
     (*job)(shard);  // exceptions already stashed by dispatch's wrapper
     lock.lock();
+    pool_running_.fetch_sub(1, std::memory_order_release);
     if (--pool_remaining_ == 0) pool_done_cv_.notify_one();
   }
 }
@@ -314,10 +356,17 @@ void ShardedAuditEngine::dispatch_to_shards(
       MutexLock lock(pool_mu_);
       pool_job_ = &guarded;
       pool_remaining_ = options_.shards - 1;
+      pool_running_.store(pool_remaining_, std::memory_order_relaxed);
       ++pool_epoch_;
+      pool_signal_.store(pool_epoch_, std::memory_order_release);
     }
     pool_cv_.notify_all();
     guarded(0);
+    if (pool_spin_) {
+      spin_until([this] {
+        return pool_running_.load(std::memory_order_acquire) == 0;
+      });
+    }
     MutexLock lock(pool_mu_);
     while (pool_remaining_ != 0) pool_done_cv_.wait(lock.native_lock());
     pool_job_ = nullptr;

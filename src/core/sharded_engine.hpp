@@ -239,7 +239,8 @@ class ShardedAuditEngine {
   std::chrono::steady_clock::time_point epoch_;
 
   /// Parked worker pool (shards > 1): one jthread per non-zero shard,
-  /// spawned on first dispatch, parked on pool_cv_ between dispatches.
+  /// spawned on first dispatch. Between dispatches each polls briefly
+  /// (kPoolSpin in the .cpp), then parks on pool_cv_.
   /// pool_job_ points at the current dispatch's job for the duration of
   /// one epoch; pool_remaining_ counts workers still in it.
   /// All pool protocol state is guarded by pool_mu_ (machine-checked under
@@ -253,6 +254,15 @@ class ShardedAuditEngine {
   std::uint64_t pool_epoch_ GEOPROOF_GUARDED_BY(pool_mu_) = 0;
   std::size_t pool_remaining_ GEOPROOF_GUARDED_BY(pool_mu_) = 0;
   bool pool_shutdown_ GEOPROOF_GUARDED_BY(pool_mu_) = false;
+  /// Unlocked hints for the short poll before a pool thread sleeps:
+  /// pool_signal_ is the latest pool_epoch_ (bumped once more at
+  /// shutdown), pool_running_ the pool workers not yet done with it. Both
+  /// are written under pool_mu_ next to the state they mirror, and a
+  /// thread whose poll succeeds still re-checks that state under the lock.
+  std::atomic<std::uint64_t> pool_signal_{0};
+  std::atomic<std::size_t> pool_running_{0};
+  /// Set with the pool: poll only when every shard can have its own CPU.
+  bool pool_spin_ = false;
 
   std::atomic<std::uint64_t> audits_{0};
   std::atomic<std::uint64_t> passed_{0};
