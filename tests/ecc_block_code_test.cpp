@@ -6,6 +6,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace geoproof::ecc {
 namespace {
@@ -68,6 +69,18 @@ TEST(ChunkCodec, RoundTripNoErrors) {
     EXPECT_EQ(dec.errata, 0u);
     EXPECT_EQ(dec.data, data);
   }
+}
+
+TEST(ChunkCodec, EncodeBytesPinned) {
+  const ChunkCodec codec;
+  Rng rng(18);
+  // One full 223-block chunk, then a chunk plus a 37-block tail.
+  const Bytes full = random_blocks(rng, 223);
+  const Bytes tail = random_blocks(rng, 223 + 37);
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(codec.encode(full))),
+            "8ed263b20e8821c1cd83571eb864ac076721056eeb8e32be52e8e8c33bb7c1b3");
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(codec.encode(tail))),
+            "4a83d5fa34f1d1f97cbd31d8cd39f88ad8a7a074d2b148cd7dc8688dc9afb3c5");
 }
 
 TEST(ChunkCodec, CorruptedBlockFullyRepaired) {

@@ -6,6 +6,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace geoproof::por {
 namespace {
@@ -295,6 +296,41 @@ TEST(PorEncoder, PaperScaleGeometryExpansion) {
   const PorExtractor ext(p);
   const auto rep = ext.extract(ef, kMaster);
   EXPECT_EQ(rep.file, file);
+}
+
+// SHA-256 over every stored segment (data || tag), in index order.
+std::string segments_digest(const EncodedFile& ef) {
+  crypto::Sha256 h;
+  for (const Bytes& seg : ef.segments) h.update(seg);
+  return to_hex(h.finalize());
+}
+
+TEST(PorEncoder, ProverFileBytesPinned) {
+  // The file and master key exactly as ProverDaemon builds them from its
+  // default seed: a stored-format pin for the whole set-up pipeline.
+  Rng rng(0x6e0d);
+  const Bytes file = rng.next_bytes(1 << 20);
+  const Bytes master = rng.next_bytes(16);
+  const EncodedFile ef = PorEncoder{PorParams{}}.encode(file, 1, master);
+  EXPECT_EQ(ef.n_permuted_blocks, 74945u);
+  EXPECT_EQ(segments_digest(ef),
+            "4c1222df531defc6734a74c43c19ffeffdf52e79db18d92dc9f2fa3aa475a1ed");
+}
+
+TEST(PorEncoder, TinyFileBytesPinned) {
+  // 20 bytes -> 2 data blocks + 1 parity -> 3 encoded -> 4 permuted
+  // blocks: the PRP's Feistel halves are 1 bit wide.
+  PorParams p;
+  p.blocks_per_segment = 4;
+  p.ecc_data_blocks = 2;
+  p.ecc_parity_blocks = 1;
+  Rng rng(16);
+  const Bytes file = rng.next_bytes(20);
+  const EncodedFile ef = PorEncoder(p).encode(file, 7, kMaster);
+  EXPECT_EQ(ef.n_permuted_blocks, 4u);
+  EXPECT_EQ(segments_digest(ef),
+            "5a4204f8543910dcdb7eebfdb75e4f8d01b16bd15352217445e854649d4b254b");
+  EXPECT_EQ(PorExtractor(p).extract(ef, kMaster).file, file);
 }
 
 }  // namespace

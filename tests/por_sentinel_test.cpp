@@ -6,6 +6,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "por/analysis.hpp"
 
 namespace geoproof::por {
@@ -37,6 +38,16 @@ TEST(SentinelPor, DecodeRoundTrip) {
     const auto enc = por.encode(file, size, kMaster);
     EXPECT_EQ(por.decode(enc, kMaster), file);
   }
+}
+
+TEST(SentinelPor, EncodeBytesPinned) {
+  const SentinelPor por(SentinelParams{.n_sentinels = 100});
+  Rng rng(17);
+  const auto enc = por.encode(rng.next_bytes(3210), 5, kMaster);
+  crypto::Sha256 h;
+  for (const Bytes& b : enc.blocks) h.update(b);
+  EXPECT_EQ(to_hex(h.finalize()),
+            "b4a99f77a4f166784b1155851c546e384028cd21bd3d29d44a7e3374653bc83f");
 }
 
 TEST(SentinelPor, ChallengeAcceptsHonestProvider) {
