@@ -179,6 +179,18 @@ void BM_PrpApply(benchmark::State& state) {
 }
 BENCHMARK(BM_PrpApply);
 
+/// The whole-domain permutation at range(0) blocks (74,945 is a 1 MiB POR
+/// file's permuted block count), round-function table included.
+void BM_PrpApplyAll(benchmark::State& state) {
+  const crypto::BlockPermutation prp(
+      bytes_of("bench"), static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prp.apply_all());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PrpApplyAll)->Arg(74945)->Unit(benchmark::kMillisecond);
+
 void BM_FullEncode(benchmark::State& state) {
   PorParams p;
   const PorEncoder encoder(p);
@@ -190,7 +202,8 @@ void BM_FullEncode(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FullEncode)->Arg(256 << 10);
+// 1 MiB is the file the geobench fleet_audit prover encodes at start-up.
+BENCHMARK(BM_FullEncode)->Arg(256 << 10)->Arg(1 << 20);
 
 void BM_Extract(benchmark::State& state) {
   PorParams p;

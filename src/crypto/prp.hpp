@@ -4,11 +4,21 @@
 // Luby–Rackoff). We realise it exactly in that spirit: a balanced Feistel
 // network over the smallest even-bit-width domain covering n, with AES as the
 // round function, plus cycle-walking to restrict the permutation to [0, n).
-// Both directions are computable pointwise, so Extract can invert the layout
-// without materialising the whole permutation.
+//
+// Two ways in, with identical results:
+//   - Pointwise apply/invert map one index for a few AES calls each
+//     (about 3.5 Feistel passes of kRounds rounds on an average index).
+//     SentinelPor::sentinel_position uses apply: one index per challenge.
+//   - apply_all maps the whole domain at once. Each round's input is a
+//     single half_bits-bit half, so it first tabulates the round function
+//     (kRounds << half_bits AES calls, about 5,000 for a 1 MiB POR file)
+//     and then walks every index by table lookup. The whole-file loops use
+//     it: PorEncoder::encode, PorExtractor::extract, SentinelPor::encode
+//     and SentinelPor::decode.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
@@ -28,12 +38,17 @@ class BlockPermutation {
   /// Inverse permutation: invert(apply(x)) == x.
   std::uint64_t invert(std::uint64_t y) const;
 
+  /// Every forward image: element q is apply(q), for each q in [0, n).
+  std::vector<std::uint64_t> apply_all() const;
+
  private:
   std::uint64_t feistel_forward(std::uint64_t x) const;
   std::uint64_t feistel_backward(std::uint64_t y) const;
   std::uint64_t round_function(int round, std::uint64_t half) const;
 
   static constexpr int kRounds = 10;
+  // Defensive bound on one cycle walk (see apply).
+  static constexpr int kWalkGuard = 100000;
 
   std::uint64_t domain_;
   int half_bits_ = 0;          // each Feistel half is this many bits

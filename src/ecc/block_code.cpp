@@ -45,30 +45,31 @@ Bytes ChunkCodec::encode(BytesView data) const {
     throw InvalidArgument("ChunkCodec::encode: data not block-aligned");
   }
   const std::size_t n_blocks = data.size() / bs;
-  Bytes out;
-  out.reserve(encoded_blocks(n_blocks) * bs);
+  const std::size_t np = params_.parity_blocks;
+  Bytes out(encoded_blocks(n_blocks) * bs);
 
+  // One byte lane's message and parity, reused for every lane and chunk.
+  Bytes lane_msg(params_.data_blocks);
+  Bytes lane_parity(np);
   std::size_t block = 0;
-  Bytes lane_msg;  // reused per lane
+  auto dst = out.begin();
   while (block < n_blocks) {
     const std::size_t chunk_data =
         std::min(params_.data_blocks, n_blocks - block);
     // Copy the chunk's data blocks verbatim (systematic code).
-    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(block * bs),
-               data.begin() + static_cast<std::ptrdiff_t>((block + chunk_data) * bs));
+    dst = std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(block * bs),
+                      chunk_data * bs, dst);
     // Parity blocks, one byte lane at a time.
-    Bytes parity_blocks(params_.parity_blocks * bs, 0);
     for (std::size_t lane = 0; lane < bs; ++lane) {
-      lane_msg.resize(chunk_data);
       for (std::size_t b = 0; b < chunk_data; ++b) {
         lane_msg[b] = data[(block + b) * bs + lane];
       }
-      const Bytes par = rs_.parity(lane_msg);
-      for (std::size_t p = 0; p < params_.parity_blocks; ++p) {
-        parity_blocks[p * bs + lane] = par[p];
+      rs_.parity(BytesView(lane_msg.data(), chunk_data), lane_parity);
+      for (std::size_t p = 0; p < np; ++p) {
+        dst[static_cast<std::ptrdiff_t>(p * bs + lane)] = lane_parity[p];
       }
     }
-    out.insert(out.end(), parity_blocks.begin(), parity_blocks.end());
+    dst += static_cast<std::ptrdiff_t>(np * bs);
     block += chunk_data;
   }
   return out;

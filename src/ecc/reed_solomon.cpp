@@ -59,31 +59,41 @@ ReedSolomon::ReedSolomon(unsigned nparity) : np_(nparity) {
     }
     gen_ = std::move(next);
   }
+  gen_times_.resize(256 * np_);
+  for (unsigned x = 0; x < 256; ++x) {
+    for (unsigned j = 0; j < np_; ++j) {
+      gen_times_[x * np_ + j] =
+          gf::mul(gen_[j + 1], static_cast<std::uint8_t>(x));
+    }
+  }
 }
 
-Bytes ReedSolomon::parity(BytesView msg) const {
+void ReedSolomon::parity(BytesView msg, std::span<std::uint8_t> out) const {
   if (msg.size() > max_message_size()) {
     throw InvalidArgument("ReedSolomon::parity: message too long");
   }
-  // Long division of msg(x) * x^np by g(x); remainder is the parity.
-  Bytes rem(msg.begin(), msg.end());
-  rem.resize(msg.size() + np_, 0);
-  for (std::size_t i = 0; i < msg.size(); ++i) {
-    const std::uint8_t coef = rem[i];
-    if (coef == 0) continue;
-    for (std::size_t j = 1; j < gen_.size(); ++j) {
-      rem[i + j] =
-          static_cast<std::uint8_t>(rem[i + j] ^ gf::mul(gen_[j], coef));
-    }
+  if (out.size() != np_) {
+    throw InvalidArgument("ReedSolomon::parity: output is not nparity long");
   }
-  return Bytes(rem.begin() + static_cast<std::ptrdiff_t>(msg.size()),
-               rem.end());
+  // Long division of msg(x) * x^np by g(x), as a shift register: `out`
+  // holds the next np remainder terms, less the message symbols not yet
+  // added in. After the last symbol it is the remainder: the parity.
+  std::fill(out.begin(), out.end(), std::uint8_t{0});
+  const std::size_t last = np_ - 1;
+  for (const std::uint8_t m : msg) {
+    const std::uint8_t* row =
+        gen_times_.data() + static_cast<std::size_t>(m ^ out[0]) * np_;
+    for (std::size_t j = 0; j < last; ++j) {
+      out[j] = static_cast<std::uint8_t>(out[j + 1] ^ row[j]);
+    }
+    out[last] = row[last];
+  }
 }
 
 Bytes ReedSolomon::encode(BytesView msg) const {
-  Bytes out(msg.begin(), msg.end());
-  const Bytes p = parity(msg);
-  out.insert(out.end(), p.begin(), p.end());
+  Bytes out(msg.size() + np_);
+  std::copy(msg.begin(), msg.end(), out.begin());
+  parity(msg, std::span<std::uint8_t>(out).subspan(msg.size()));
   return out;
 }
 

@@ -30,8 +30,10 @@ class ReedSolomon {
   /// Maximum message length for a full-length (non-shortened) codeword.
   std::size_t max_message_size() const { return 255 - np_; }
 
-  /// Parity symbols for `msg` (msg.size() <= max_message_size()).
-  Bytes parity(BytesView msg) const;
+  /// Writes the nparity() parity symbols of `msg` to `out`
+  /// (msg.size() <= max_message_size(), out.size() == nparity(); `out`
+  /// must not overlap `msg`).
+  void parity(BytesView msg, std::span<std::uint8_t> out) const;
 
   /// Systematic codeword: msg || parity(msg).
   Bytes encode(BytesView msg) const;
@@ -48,6 +50,10 @@ class ReedSolomon {
  private:
   unsigned np_;
   Bytes gen_;  // generator polynomial, highest-degree coefficient first
+  // gen_times_[x * np_ + j] == gf::mul(gen_[j + 1], x): for each
+  // quotient symbol x, the np_ products the encoder folds into its
+  // remainder, contiguous.
+  Bytes gen_times_;
 };
 
 }  // namespace geoproof::ecc

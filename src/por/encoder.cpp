@@ -46,10 +46,11 @@ EncodedFile PorEncoder::encode(BytesView file, std::uint64_t file_id,
   fprime.resize(static_cast<std::size_t>(n_perm) * bs, 0);
   out.n_permuted_blocks = n_perm;
 
-  const crypto::BlockPermutation prp(keys.prp_key, n_perm);
+  const std::vector<std::uint64_t> image =
+      crypto::BlockPermutation(keys.prp_key, n_perm).apply_all();
   Bytes fppp(fprime.size());
   for (std::uint64_t q = 0; q < n_perm; ++q) {
-    const std::uint64_t p = prp.apply(q);
+    const std::uint64_t p = image[static_cast<std::size_t>(q)];
     std::copy_n(fprime.begin() + static_cast<std::ptrdiff_t>(q * bs), bs,
                 fppp.begin() + static_cast<std::ptrdiff_t>(p * bs));
   }
@@ -128,11 +129,13 @@ ExtractReport PorExtractor::extract(const EncodedFile& stored,
   }
 
   // Undo step 4: inverse permutation (F'''[apply(q)] == F''[q]).
-  const crypto::BlockPermutation prp(keys.prp_key, stored.n_permuted_blocks);
+  const std::vector<std::uint64_t> image =
+      crypto::BlockPermutation(keys.prp_key, stored.n_permuted_blocks)
+          .apply_all();
   Bytes fpp(static_cast<std::size_t>(stored.n_encoded_blocks) * bs);
   std::vector<std::size_t> erasures;
   for (std::uint64_t q = 0; q < stored.n_encoded_blocks; ++q) {
-    const std::uint64_t p = prp.apply(q);
+    const std::uint64_t p = image[static_cast<std::size_t>(q)];
     std::copy_n(fppp.begin() + static_cast<std::ptrdiff_t>(p * bs), bs,
                 fpp.begin() + static_cast<std::ptrdiff_t>(q * bs));
     if (block_suspect[static_cast<std::size_t>(p)]) {

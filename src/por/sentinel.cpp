@@ -71,17 +71,19 @@ SentinelEncoded SentinelPor::encode(BytesView file, std::uint64_t file_id,
   ctr.xcrypt_at(0, data);
 
   out.total_blocks = out.n_file_blocks + params_.n_sentinels;
-  const crypto::BlockPermutation prp(keys.prp_key, out.total_blocks);
+  const std::vector<std::uint64_t> image =
+      crypto::BlockPermutation(keys.prp_key, out.total_blocks).apply_all();
   out.blocks.resize(static_cast<std::size_t>(out.total_blocks));
 
   for (std::uint64_t q = 0; q < out.n_file_blocks; ++q) {
-    const std::uint64_t p = prp.apply(q);
+    const std::uint64_t p = image[static_cast<std::size_t>(q)];
     out.blocks[static_cast<std::size_t>(p)].assign(
         data.begin() + static_cast<std::ptrdiff_t>(q * bs),
         data.begin() + static_cast<std::ptrdiff_t>((q + 1) * bs));
   }
   for (unsigned j = 0; j < params_.n_sentinels; ++j) {
-    const std::uint64_t p = prp.apply(out.n_file_blocks + j);
+    const std::uint64_t p =
+        image[static_cast<std::size_t>(out.n_file_blocks + j)];
     out.blocks[static_cast<std::size_t>(p)] =
         sentinel_block(keys.sentinel_key, j, bs);
   }
@@ -118,11 +120,12 @@ Bytes SentinelPor::decode(const SentinelEncoded& stored,
                           BytesView master_key) const {
   const std::size_t bs = params_.block_size;
   const SentinelKeys keys = derive_keys(master_key, stored.file_id);
-  const crypto::BlockPermutation prp(keys.prp_key, stored.total_blocks);
+  const std::vector<std::uint64_t> image =
+      crypto::BlockPermutation(keys.prp_key, stored.total_blocks).apply_all();
 
   Bytes data(static_cast<std::size_t>(stored.n_file_blocks) * bs, 0);
   for (std::uint64_t q = 0; q < stored.n_file_blocks; ++q) {
-    const std::uint64_t p = prp.apply(q);
+    const std::uint64_t p = image[static_cast<std::size_t>(q)];
     const Bytes& blk = stored.blocks[static_cast<std::size_t>(p)];
     if (blk.size() != bs) {
       throw DecodeError("SentinelPor::decode: malformed block");

@@ -40,6 +40,25 @@ INSTANTIATE_TEST_SUITE_P(Domains, PrpDomainTest,
                                            17ULL, 100ULL, 255ULL, 256ULL,
                                            257ULL, 1000ULL, 4096ULL, 5000ULL));
 
+class PrpBulkTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PrpBulkTest, ApplyAllEqualsPointwiseApply) {
+  const std::uint64_t n = GetParam();
+  const BlockPermutation prp(bytes_of("bulk test key"), n);
+  const std::vector<std::uint64_t> images = prp.apply_all();
+  ASSERT_EQ(images.size(), n);
+  for (std::uint64_t x = 0; x < n; ++x) {
+    ASSERT_EQ(images[x], prp.apply(x)) << "x " << x;
+  }
+}
+
+// 1-4 share the cover domain of 1-bit halves; 17 and 4097 sit just above a
+// power of 4, where the cover domain is four times that power and cycle
+// walks are longest; 74,945 is a 1 MiB POR file's permuted block count.
+INSTANTIATE_TEST_SUITE_P(Domains, PrpBulkTest,
+                         ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 17ULL,
+                                           4097ULL, 74945ULL));
+
 TEST(BlockPermutation, ZeroDomainThrows) {
   EXPECT_THROW(BlockPermutation(bytes_of("k"), 0), InvalidArgument);
 }

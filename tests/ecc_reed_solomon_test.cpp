@@ -6,6 +6,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "ecc/gf256.hpp"
 
 namespace geoproof::ecc {
 namespace {
@@ -36,8 +37,52 @@ TEST(ReedSolomon, SystematicPrefix) {
 
 TEST(ReedSolomon, ZeroMessageZeroParity) {
   const ReedSolomon rs(16);
-  const Bytes par = rs.parity(Bytes(100, 0));
+  Bytes par(16, 0xff);
+  rs.parity(Bytes(100, 0), par);
   EXPECT_EQ(par, Bytes(16, 0));
+}
+
+// Parity by plain long division of msg(x) * x^np by g(x) through gf::mul,
+// with g(x) = prod (x - alpha^i) built here from scratch.
+Bytes reference_parity(unsigned np, BytesView msg) {
+  Bytes gen{1};  // highest-degree coefficient first
+  for (unsigned i = 0; i < np; ++i) {
+    Bytes next(gen.size() + 1, 0);
+    for (std::size_t j = 0; j < gen.size(); ++j) {
+      next[j] ^= gen[j];
+      next[j + 1] ^= gf::mul(gf::exp(i), gen[j]);
+    }
+    gen = std::move(next);
+  }
+  Bytes rem(msg.begin(), msg.end());
+  rem.resize(msg.size() + np, 0);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    for (std::size_t j = 1; j < gen.size(); ++j) {
+      rem[i + j] ^= gf::mul(gen[j], rem[i]);
+    }
+  }
+  return Bytes(rem.begin() + static_cast<std::ptrdiff_t>(msg.size()),
+               rem.end());
+}
+
+TEST(ReedSolomon, ParityMatchesReferenceLongDivision) {
+  Rng rng(11);
+  for (unsigned np : {1u, 2u, 16u, 32u}) {
+    const ReedSolomon rs(np);
+    Bytes par(np);
+    for (std::size_t len = 1; len <= 223; ++len) {
+      const Bytes msg = random_message(rng, len);
+      rs.parity(msg, par);
+      ASSERT_EQ(par, reference_parity(np, msg))
+          << "np " << np << " len " << len;
+    }
+  }
+}
+
+TEST(ReedSolomon, ParityRejectsWrongOutputSize) {
+  const ReedSolomon rs(16);
+  Bytes par(15);
+  EXPECT_THROW(rs.parity(Bytes(10, 1), par), InvalidArgument);
 }
 
 TEST(ReedSolomon, EncodedWordIsCodeword) {
