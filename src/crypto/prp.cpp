@@ -100,8 +100,8 @@ std::uint64_t BlockPermutation::invert(std::uint64_t y) const {
 }
 
 std::vector<std::uint64_t> BlockPermutation::apply_all() const {
-  // round_table[r << half_bits_ | h] == round_function(r, h): a half is
-  // at most 31 bits, so each entry fits 32 bits.
+  // round_table[r * halves + h] == round_function(r, h). A half is at
+  // most 31 bits (the domain at most 62), so each entry fits 32 bits.
   const std::uint64_t halves = half_mask_ + 1;
   std::vector<std::uint32_t> round_table(kRounds * halves);
   for (int r = 0; r < kRounds; ++r) {

@@ -38,34 +38,36 @@ EncodedFile PorEncoder::encode(BytesView file, std::uint64_t file_id,
   const crypto::AesCtr ctr(keys.enc_key, keys.enc_nonce);
   ctr.xcrypt_at(0, fprime);  // in place; fprime now holds F''
 
-  // Step 4: PRP block reordering -> F'''. The block count is first padded
-  // to a whole number of segments so step 5 never splits a block.
+  // Step 4: PRP block reordering -> F''', each block copied straight to
+  // its place in a v-block segment. The block count is first padded to a
+  // whole number of segments so step 5 never splits a block.
   const std::uint64_t v = params_.blocks_per_segment;
   const std::uint64_t n_perm =
       (out.n_encoded_blocks + v - 1) / v * v;
   fprime.resize(static_cast<std::size_t>(n_perm) * bs, 0);
   out.n_permuted_blocks = n_perm;
+  out.n_segments = n_perm / v;
+  const std::size_t seg_data = static_cast<std::size_t>(v) * bs;
+  out.segments.resize(static_cast<std::size_t>(out.n_segments));
+  for (Bytes& seg : out.segments) {
+    seg.reserve(out.segment_bytes);  // the tag is appended in step 5
+    seg.resize(seg_data);
+  }
 
   const std::vector<std::uint64_t> image =
       crypto::BlockPermutation(keys.prp_key, n_perm).apply_all();
-  Bytes fppp(fprime.size());
   for (std::uint64_t q = 0; q < n_perm; ++q) {
     const std::uint64_t p = image[static_cast<std::size_t>(q)];
     std::copy_n(fprime.begin() + static_cast<std::ptrdiff_t>(q * bs), bs,
-                fppp.begin() + static_cast<std::ptrdiff_t>(p * bs));
+                out.segments[static_cast<std::size_t>(p / v)].begin() +
+                    static_cast<std::ptrdiff_t>((p % v) * bs));
   }
 
-  // Step 5: segment + MAC -> F~.
+  // Step 5: MAC each segment -> F~.
   const crypto::SegmentMac mac(keys.mac_key, params_.tag);
-  out.n_segments = n_perm / v;
-  out.segments.reserve(static_cast<std::size_t>(out.n_segments));
-  const std::size_t seg_data = static_cast<std::size_t>(v) * bs;
   for (std::uint64_t i = 0; i < out.n_segments; ++i) {
-    Bytes seg(fppp.begin() + static_cast<std::ptrdiff_t>(i * seg_data),
-              fppp.begin() + static_cast<std::ptrdiff_t>((i + 1) * seg_data));
-    const Bytes tag = mac.tag(seg, i, file_id);
-    append(seg, tag);
-    out.segments.push_back(std::move(seg));
+    Bytes& seg = out.segments[static_cast<std::size_t>(i)];
+    append(seg, mac.tag(seg, i, file_id));
   }
   return out;
 }
