@@ -6,8 +6,9 @@
 // round function, plus cycle-walking to restrict the permutation to [0, n).
 //
 // Two ways in, with identical results:
-//   - Pointwise apply/invert map one index for a few AES calls each
-//     (about 3.5 Feistel passes of kRounds rounds on an average index).
+//   - Pointwise apply/invert map one index for kRounds AES calls per
+//     Feistel pass; the cover domain is under 4n, so a cycle walk averages
+//     fewer than four passes (about 3.5 for a 1 MiB POR file).
 //     SentinelPor::sentinel_position uses apply: one index per challenge.
 //   - apply_all maps the whole domain at once. Each round's input is a
 //     single half_bits-bit half, so it first tabulates the round function

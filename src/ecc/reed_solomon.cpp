@@ -47,23 +47,24 @@ ReedSolomon::ReedSolomon(unsigned nparity) : np_(nparity) {
     throw InvalidArgument("ReedSolomon: nparity must be in [1, 254]");
   }
   // Generator polynomial g(x) = prod_{i=0}^{np-1} (x - alpha^i),
-  // stored highest-degree-first for the encoder's long division.
-  gen_.assign(1, 1);
+  // highest-degree coefficient first.
+  Bytes gen(1, 1);
   for (unsigned i = 0; i < np_; ++i) {
-    Bytes next(gen_.size() + 1, 0);
+    Bytes next(gen.size() + 1, 0);
     const std::uint8_t a = gf::exp(i);
-    for (std::size_t j = 0; j < gen_.size(); ++j) {
-      next[j] = static_cast<std::uint8_t>(next[j] ^ gen_[j]);  // x * g
+    for (std::size_t j = 0; j < gen.size(); ++j) {
+      next[j] = static_cast<std::uint8_t>(next[j] ^ gen[j]);  // x * g
       next[j + 1] =
-          static_cast<std::uint8_t>(next[j + 1] ^ gf::mul(a, gen_[j]));
+          static_cast<std::uint8_t>(next[j + 1] ^ gf::mul(a, gen[j]));
     }
-    gen_ = std::move(next);
+    gen = std::move(next);
   }
+  // The encoder only ever multiplies the non-leading coefficients.
   gen_times_.resize(256 * np_);
   for (unsigned x = 0; x < 256; ++x) {
     for (unsigned j = 0; j < np_; ++j) {
       gen_times_[x * np_ + j] =
-          gf::mul(gen_[j + 1], static_cast<std::uint8_t>(x));
+          gf::mul(gen[j + 1], static_cast<std::uint8_t>(x));
     }
   }
 }

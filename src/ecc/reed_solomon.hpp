@@ -49,10 +49,10 @@ class ReedSolomon {
 
  private:
   unsigned np_;
-  Bytes gen_;  // generator polynomial, highest-degree coefficient first
-  // gen_times_[x * np_ + j] == gf::mul(gen_[j + 1], x): for each
-  // quotient symbol x, the np_ products the encoder folds into its
-  // remainder, contiguous.
+  // gen_times_[x * np_ + j] == gf::mul(g_{j+1}, x), where g_0 = 1, ...,
+  // g_np are the generator polynomial's coefficients, highest degree
+  // first: for each quotient symbol x, the np_ products the encoder folds
+  // into its remainder, contiguous.
   Bytes gen_times_;
 };
 
